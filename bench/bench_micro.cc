@@ -2,14 +2,16 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot paths:
  * vring serialization, virtqueue submit/pop/complete cycles, the
- * event queue, the DMA engine, the pool allocator, and one full
- * guest-to-guest packet round trip. These measure *simulator*
+ * event queue, the DMA engine, the CRC32C / T10-DIF checksum
+ * kernels, the pool allocator, and one full guest-to-guest packet
+ * round trip. These measure *simulator*
  * performance (host wall time), not simulated time — they bound
  * how large an experiment the harness can run.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "base/checksum.hh"
 #include "bench/common.hh"
 #include "mem/pool_allocator.hh"
 #include "virtio/virtqueue.hh"
@@ -111,6 +113,54 @@ BM_DmaEngineCopy4K(benchmark::State &state)
 BENCHMARK(BM_DmaEngineCopy4K);
 
 void
+BM_DmaEngineCopy128K(benchmark::State &state)
+{
+    // A 128 KiB block payload through IO-Bond's engine with ECRC on,
+    // as the block path moves it.
+    Simulation sim;
+    GuestMemory src("s", 1 * MiB), dst("d", 1 * MiB);
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    dma.setIntegrity(true);
+    for (auto _ : state) {
+        dma.copy(src, 0, dst, 256 * KiB, 128 * KiB, {});
+        sim.run();
+    }
+    state.SetBytesProcessed(state.iterations() * 128 * KiB);
+}
+BENCHMARK(BM_DmaEngineCopy128K);
+
+void
+BM_Crc32c4K(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(4096);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = std::uint8_t(i * 31 + 7);
+    std::uint32_t crc = 0;
+    for (auto _ : state) {
+        crc = crc32c(buf.data(), buf.size(), crc);
+        benchmark::DoNotOptimize(crc);
+    }
+    state.SetBytesProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_Crc32c4K);
+
+void
+BM_Crc16T10dif512(benchmark::State &state)
+{
+    // One DIF guard tag: a 512-byte sector.
+    std::vector<std::uint8_t> sector(512);
+    for (std::size_t i = 0; i < sector.size(); ++i)
+        sector[i] = std::uint8_t(i * 13 + 1);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sector.data());
+        auto guard = crc16T10dif(sector.data(), sector.size());
+        benchmark::DoNotOptimize(guard);
+    }
+    state.SetBytesProcessed(state.iterations() * 512);
+}
+BENCHMARK(BM_Crc16T10dif512);
+
+void
 BM_PoolAllocatorChurn(benchmark::State &state)
 {
     PoolAllocator pool(0, 16 * MiB);
@@ -194,6 +244,7 @@ BENCHMARK(BM_PsimWindowScaling)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime() // workers run off the main thread
     ->Unit(benchmark::kMillisecond);
 
 void

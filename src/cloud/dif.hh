@@ -11,6 +11,7 @@
 #ifndef BMHIVE_CLOUD_DIF_HH
 #define BMHIVE_CLOUD_DIF_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -57,42 +58,53 @@ difTag(const std::uint8_t *sector, std::uint64_t lba)
     return t;
 }
 
+/**
+ * Write the tag of every sector of the @p len payload bytes at
+ * @p payload (a multiple of 512) to @p tags, which must have room
+ * for len / 512 tags. @p tags may directly follow the payload, as
+ * on the wire.
+ */
+inline void
+difBuildTags(const std::uint8_t *payload, Bytes len,
+             std::uint64_t lba, std::uint8_t *tags)
+{
+    std::size_t n = len / difSectorBytes;
+    for (std::size_t i = 0; i < n; ++i) {
+        auto t = difTag(payload + i * difSectorBytes, lba + i);
+        std::copy(t.begin(), t.end(), tags + i * difTagBytes);
+    }
+}
+
 /** Tags for every sector of @p payload (size multiple of 512). */
 inline std::vector<std::uint8_t>
 difBuildTags(const std::vector<std::uint8_t> &payload,
              std::uint64_t lba)
 {
-    std::size_t n = payload.size() / difSectorBytes;
-    std::vector<std::uint8_t> tags;
-    tags.reserve(n * difTagBytes);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto t = difTag(payload.data() + i * difSectorBytes,
-                        lba + i);
-        tags.insert(tags.end(), t.begin(), t.end());
-    }
+    std::vector<std::uint8_t> tags(payload.size() / difSectorBytes *
+                                   difTagBytes);
+    difBuildTags(payload.data(), payload.size(), lba, tags.data());
     return tags;
 }
 
 /**
- * Verify a payload+tags buffer (payload first, tags appended).
+ * Verify the @p len-byte payload+tags buffer at @p buf (payload
+ * first, tags appended).
  * @return the first bad sector index, or -1 if the buffer is clean.
  *         A buffer whose size is not a whole number of protected
  *         sectors fails at sector 0.
  */
 inline int
-difCheck(const std::vector<std::uint8_t> &buf, std::uint64_t lba)
+difCheck(const std::uint8_t *buf, Bytes len, std::uint64_t lba)
 {
-    std::size_t n = buf.size() / difProtectedSectorBytes;
-    if (n * difProtectedSectorBytes != buf.size())
+    std::size_t n = len / difProtectedSectorBytes;
+    if (n * difProtectedSectorBytes != len)
         return 0;
-    const std::uint8_t *tags =
-        buf.data() + n * difSectorBytes;
+    const std::uint8_t *tags = buf + n * difSectorBytes;
     for (std::size_t i = 0; i < n; ++i) {
-        auto want = difTag(buf.data() + i * difSectorBytes,
-                           lba + i);
-        for (std::size_t b = 0; b < difTagBytes; ++b)
-            if (tags[i * difTagBytes + b] != want[b])
-                return int(i);
+        auto want = difTag(buf + i * difSectorBytes, lba + i);
+        if (!std::equal(want.begin(), want.end(),
+                        tags + i * difTagBytes))
+            return int(i);
     }
     return -1;
 }

@@ -119,9 +119,9 @@ BlkDriver::submitIo(std::uint32_t type, std::uint64_t sector,
     if (integrity_ && type == VIRTIO_BLK_T_OUT && len > 0) {
         // Seal the payload: per-sector guard/ref tags appended
         // after it, verified by the backend before persisting.
-        auto payload = os_.memory().readBlob(s.data, len);
-        os_.memory().writeBlob(
-            s.data + len, cloud::difBuildTags(payload, sector));
+        std::uint8_t *wire =
+            os_.memory().span(s.data, cloud::difWireBytes(len));
+        cloud::difBuildTags(wire, len, sector, wire + len);
     }
 
     s.type = type;
@@ -220,9 +220,9 @@ BlkDriver::completionInterrupt(unsigned q)
             // Verify the returned payload against its tags: a
             // corruption on the completion path (shadow ring, DMA
             // back to us) surfaces here instead of in the data.
-            auto buf = os_.memory().readBlob(
-                s.data, cloud::difWireBytes(s.len));
-            if (cloud::difCheck(buf, s.sector) >= 0) {
+            Bytes wire = cloud::difWireBytes(s.len);
+            if (cloud::difCheck(os_.memory().span(s.data, wire), wire,
+                                s.sector) >= 0) {
                 difDetects_.inc();
                 status = VIRTIO_BLK_S_IOERR;
             }

@@ -712,14 +712,15 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
 
         if (is_write) {
             // Data already sits in ring memory; persist it now.
-            auto buf = blkMem_->readBlob(data.addr, data.len);
+            const std::uint8_t *buf =
+                blkMem_->span(data.addr, data.len);
             if (blkIntegrity_) {
                 // Verify the guest's tags before persisting: a
                 // payload corrupted between the guest and here
                 // (shadow ring, DMA residue) must never become
                 // durable. IOERR sends the guest back to its
                 // pristine bounce buffer for a fresh attempt.
-                if (cloud::difCheck(buf, hdr.sector) >= 0) {
+                if (cloud::difCheck(buf, data.len, hdr.sector) >= 0) {
                     difDetects_.inc();
                     blkMem_->write8(status.addr,
                                     VIRTIO_BLK_S_IOERR);
@@ -727,14 +728,12 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
                         VringUsedElem{chain->head, 1});
                     continue;
                 }
-                vol_->writeData(
-                    hdr.sector,
-                    {buf.begin(), buf.begin() + long(payload_len)});
-                vol_->writeTags(
-                    hdr.sector,
-                    {buf.begin() + long(payload_len), buf.end()});
+                vol_->writeData(hdr.sector,
+                                {buf, buf + payload_len});
+                vol_->writeTags(hdr.sector,
+                                {buf + payload_len, buf + data.len});
             } else {
-                vol_->writeData(hdr.sector, buf);
+                vol_->writeData(hdr.sector, {buf, buf + data.len});
             }
         }
 
@@ -880,7 +879,7 @@ VirtioIoService::onBlkServiceDone(std::uint64_t seq,
                            : blkSvc_->takeCorruption();
         if (corrupt && !rbuf.empty())
             rbuf[0] ^= 0xA5;
-        if (cloud::difCheck(rbuf, q.lba) >= 0) {
+        if (cloud::difCheck(rbuf.data(), rbuf.size(), q.lba) >= 0) {
             difDetects_.inc();
             if (it->second.attempt < params_.blkMaxRetries) {
                 ++it->second.attempt;

@@ -1,5 +1,7 @@
 #include "mem/dma_engine.hh"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "base/checksum.hh"
@@ -120,6 +122,87 @@ DmaEngine::startNext()
     scheduleIn(&completeEvent_, duration);
 }
 
+bool
+DmaEngine::sharesMemory(const std::vector<CopySeg> &segs)
+{
+    // A transfer writes one or two memories however many segments
+    // it carries, so collect the distinct destinations first. More
+    // than fit here is answered conservatively: staging is always
+    // a correct way to land.
+    std::array<const GuestMemory *, 4> dsts{};
+    std::size_t n = 0;
+    auto isDst = [&](const GuestMemory *m) {
+        return std::find(dsts.begin(), dsts.begin() + n, m) !=
+               dsts.begin() + n;
+    };
+    for (const auto &s : segs) {
+        if (s.src == nullptr || isDst(s.dst))
+            continue;
+        if (n == dsts.size())
+            return true;
+        dsts[n++] = s.dst;
+    }
+    for (const auto &s : segs)
+        if (s.src != nullptr && isDst(s.src))
+            return true;
+    return false;
+}
+
+void
+DmaEngine::landInPlace(const std::vector<CopySeg> &segs)
+{
+    for (const auto &s : segs) {
+        if (s.src == nullptr)
+            continue;
+        std::copy_n(s.src->span(s.srcAddr, s.len), s.len,
+                    s.dst->span(s.dstAddr, s.len));
+    }
+}
+
+bool
+DmaEngine::landStaged(const std::vector<CopySeg> &segs,
+                      bool corrupted)
+{
+    // Read every segment before writing any (a segment may land on
+    // another's source) and checksum both ends: the reference ECRC
+    // over the source bytes as read now (the TX side of the link
+    // computes it per transfer, so a source the guest legitimately
+    // rewrote since submit is not a mismatch) and the landing CRC
+    // over what would actually be written.
+    Bytes data_len = 0;
+    for (const auto &s : segs)
+        if (s.src != nullptr)
+            data_len += s.len;
+    staging_.resize(data_len);
+    std::uint32_t ref = 0, landed = 0;
+    Bytes off = 0;
+    for (const auto &s : segs) {
+        if (s.src == nullptr)
+            continue;
+        std::uint8_t *p = staging_.data() + off;
+        std::copy_n(s.src->span(s.srcAddr, s.len), s.len, p);
+        ref = crc32c(p, s.len, ref);
+        if (corrupted) {
+            // Deterministic bit rot: every 64th byte flipped.
+            for (Bytes i = 0; i < s.len; i += 64)
+                p[i] ^= 0xA5;
+        }
+        landed = crc32c(p, s.len, landed);
+        off += s.len;
+    }
+    if (integrity_ && landed != ref)
+        return true;
+    off = 0;
+    for (const auto &s : segs) {
+        if (s.src == nullptr)
+            continue;
+        std::copy_n(staging_.data() + off, s.len,
+                    s.dst->span(s.dstAddr, s.len));
+        off += s.len;
+    }
+    return false;
+}
+
 void
 DmaEngine::complete()
 {
@@ -154,41 +237,15 @@ DmaEngine::complete()
     }
     bool mismatch = false;
     if (!failed) {
-        // Stage every segment and checksum both ends: the reference
-        // ECRC over the source bytes as read now (the TX side of
-        // the link computes it per transfer, so a source the guest
-        // legitimately rewrote since submit is not a mismatch) and
-        // the landing CRC over what would actually be written.
-        std::vector<std::vector<std::uint8_t>> blobs(t.segs.size());
-        std::uint32_t ref = 0, landed = 0;
-        for (std::size_t n = 0; n < t.segs.size(); ++n) {
-            const auto &s = t.segs[n];
-            if (s.src == nullptr)
-                continue;
-            // Perform the actual copy at completion time so readers
-            // never observe half-finished transfers.
-            blobs[n] = s.src->readBlob(s.srcAddr, s.len);
-            ref = crc32c(blobs[n].data(), blobs[n].size(), ref);
-            if (corrupted) {
-                // Deterministic bit rot: every 64th byte flipped.
-                auto &blob = blobs[n];
-                for (std::size_t i = 0; i < blob.size(); i += 64)
-                    blob[i] ^= 0xA5;
-            }
-            landed = crc32c(blobs[n].data(), blobs[n].size(),
-                            landed);
-        }
-        if (integrity_ && moves_data) {
+        // Perform the actual copy at completion time so readers
+        // never observe half-finished transfers. A clean transfer's
+        // two ECRC values cannot differ, so it lands in place.
+        if (corrupted || sharesMemory(t.segs))
+            mismatch = landStaged(t.segs, corrupted);
+        else
+            landInPlace(t.segs);
+        if (integrity_ && moves_data)
             ecrcChecked_.inc();
-            mismatch = landed != ref;
-        }
-        if (!mismatch) {
-            for (std::size_t n = 0; n < t.segs.size(); ++n) {
-                const auto &s = t.segs[n];
-                if (s.src != nullptr)
-                    s.dst->writeBlob(s.dstAddr, blobs[n]);
-            }
-        }
     }
     bytesMoved_.inc(t.len);
     transfers_.inc();

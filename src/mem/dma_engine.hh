@@ -178,6 +178,15 @@ class DmaEngine : public SimObject
     void startNext();
     /** Finish the in-flight transfer. */
     void complete();
+    /** True iff one GuestMemory is a source and a destination of
+     *  the same transfer, so segment order could be observed. */
+    static bool sharesMemory(const std::vector<CopySeg> &segs);
+    /** Copy each segment straight from source to destination. */
+    static void landInPlace(const std::vector<CopySeg> &segs);
+    /** Stage every segment, apply an injected corruption, and land
+     *  the staged bytes unless ECRC catches a mismatch.
+     *  @return true iff the ECRC mismatched (nothing landed). */
+    bool landStaged(const std::vector<CopySeg> &segs, bool corrupted);
     /** Fault hook: arm corruption/failure budgets. */
     bool injectFault(const fault::FaultSpec &spec);
 
@@ -202,6 +211,8 @@ class DmaEngine : public SimObject
     /** Consecutive mismatches tolerated before escalation. */
     static constexpr unsigned ecrcMaxRetries = 2;
     obs::FlightRecorder *flight_ = nullptr;
+    /** Reused by every staged (corrupted or aliased) transfer. */
+    std::vector<std::uint8_t> staging_;
     /** Registry-backed so exports and accessors read one cell. */
     Counter &bytesMoved_;
     Counter &transfers_;

@@ -45,6 +45,15 @@ class GuestMemory
     void read(Addr addr, void *dst, Bytes len) const;
     void write(Addr addr, const void *src, Bytes len);
 
+    /**
+     * Bounds-checked direct view of [addr, addr + len), for copies
+     * and checksums that need no staging buffer. Panics on an
+     * out-of-bounds range exactly like read()/write(). The pointer
+     * stays valid for the memory's lifetime (its size is fixed).
+     */
+    const std::uint8_t *span(Addr addr, Bytes len) const;
+    std::uint8_t *span(Addr addr, Bytes len);
+
     /** Typed little-endian accessors. */
     std::uint8_t read8(Addr addr) const { return readT<std::uint8_t>(addr); }
     std::uint16_t read16(Addr addr) const { return readT<std::uint16_t>(addr); }

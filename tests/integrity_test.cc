@@ -2,7 +2,9 @@
  * @file
  * End-to-end data-integrity tests (detect, contain, heal):
  *
- *  - checksum primitives (CRC32C, T10-DIF CRC16) and the DIF
+ *  - checksum primitives (CRC32C, T10-DIF CRC16): known answers,
+ *    and the table kernels equal to bit-serial oracles on random
+ *    buffers, lengths, alignments, seeds and split chains; the DIF
  *    tag/verify helpers, including wrong-LBA and truncation;
  *  - frame checksums: sealed packets verify, mutations don't,
  *    unsealed legacy frames pass;
@@ -28,6 +30,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "base/checksum.hh"
@@ -58,6 +62,96 @@ spec(FaultKind k, unsigned count = 1)
 }
 
 // --- Checksum primitives ---
+
+// Bit-serial definitions of both CRCs: the oracles the table-driven
+// kernels in base/checksum.hh must match bit for bit.
+std::uint32_t
+refCrc32c(const std::uint8_t *data, std::size_t len,
+          std::uint32_t seed = 0)
+{
+    std::uint32_t crc = ~seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int b = 0; b < 8; ++b)
+            crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+    }
+    return ~crc;
+}
+
+std::uint16_t
+refCrc16T10dif(const std::uint8_t *data, std::size_t len)
+{
+    std::uint16_t crc = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= std::uint16_t(data[i]) << 8;
+        for (int b = 0; b < 8; ++b) {
+            crc = std::uint16_t(
+                (crc << 1) ^ ((crc & 0x8000u) ? 0x8BB7u : 0u));
+        }
+    }
+    return crc;
+}
+
+TEST(ChecksumTest, TableKernelsMatchBitSerialOracles)
+{
+    std::mt19937_64 rng(0xC5C32u);
+    std::vector<std::uint8_t> buf(128 * KiB + 64);
+    for (auto &b : buf)
+        b = std::uint8_t(rng());
+
+    // Every length up to a little past 8 sectors covers each 0-7
+    // byte tail many times; the start offset walks all alignments.
+    for (std::size_t len = 0; len <= 4200; ++len) {
+        const std::uint8_t *p = buf.data() + len % 13;
+        auto seed = std::uint32_t(rng());
+        ASSERT_EQ(crc32c(p, len, seed), refCrc32c(p, len, seed))
+            << "len " << len;
+        ASSERT_EQ(crc32c(p, len), refCrc32c(p, len)) << "len " << len;
+        ASSERT_EQ(crc16T10dif(p, len), refCrc16T10dif(p, len))
+            << "len " << len;
+    }
+    for (std::size_t len : {8191u, 16384u, 65536u + 5u, 100003u,
+                            unsigned(128 * KiB)}) {
+        for (std::size_t off : {0u, 1u, 3u, 7u, 61u}) {
+            const std::uint8_t *p = buf.data() + off;
+            auto seed = std::uint32_t(rng());
+            EXPECT_EQ(crc32c(p, len, seed), refCrc32c(p, len, seed))
+                << "len " << len << " off " << off;
+            EXPECT_EQ(crc16T10dif(p, len), refCrc16T10dif(p, len))
+                << "len " << len << " off " << off;
+        }
+    }
+    // Split-buffer chaining matches one pass over the whole buffer,
+    // wherever the split falls (mid-word included).
+    for (int i = 0; i < 200; ++i) {
+        std::size_t len = rng() % 9000;
+        std::size_t cut = len ? rng() % (len + 1) : 0;
+        const std::uint8_t *p = buf.data() + rng() % 64;
+        auto seed = std::uint32_t(rng());
+        EXPECT_EQ(crc32c(p + cut, len - cut, crc32c(p, cut, seed)),
+                  refCrc32c(p, len, seed))
+            << "len " << len << " cut " << cut;
+    }
+    // Word folding matches its eight little-endian bytes.
+    for (int i = 0; i < 1000; ++i) {
+        std::uint64_t w = rng();
+        auto seed = std::uint32_t(rng());
+        std::uint8_t le[8];
+        for (int b = 0; b < 8; ++b)
+            le[b] = std::uint8_t(w >> (8 * b));
+        ASSERT_EQ(crc32cWord(w, seed), refCrc32c(le, 8, seed));
+    }
+}
+
+TEST(ChecksumTest, Crc16T10DifKnownAnswer)
+{
+    // The CRC-16/T10-DIF catalogue check value.
+    const std::uint8_t msg[] = {'1', '2', '3', '4', '5',
+                                '6', '7', '8', '9'};
+    EXPECT_EQ(crc16T10dif(msg, sizeof(msg)), 0xD0DBu);
+    EXPECT_EQ(refCrc16T10dif(msg, sizeof(msg)), 0xD0DBu);
+    EXPECT_EQ(crc16T10dif(msg, 0), 0u);
+}
 
 TEST(ChecksumTest, Crc32cKnownAnswerAndChaining)
 {
@@ -118,21 +212,31 @@ TEST(DifTest, BuildCheckDetectsCorruptionAndWrongLba)
     auto tags = difBuildTags(payload, lba);
     ASSERT_EQ(tags.size(), 3 * difTagBytes);
     buf.insert(buf.end(), tags.begin(), tags.end());
+    auto check = [&](std::uint64_t at) {
+        return difCheck(buf.data(), buf.size(), at);
+    };
 
-    EXPECT_EQ(difCheck(buf, lba), -1);
+    EXPECT_EQ(check(lba), -1);
     // A payload flip in sector 1 is caught at sector 1.
     buf[difSectorBytes + 100] ^= 0x40;
-    EXPECT_EQ(difCheck(buf, lba), 1);
+    EXPECT_EQ(check(lba), 1);
     buf[difSectorBytes + 100] ^= 0x40;
     // A guard-tag flip is just as fatal.
     buf[3 * difSectorBytes + 2 * difTagBytes] ^= 0x01;
-    EXPECT_EQ(difCheck(buf, lba), 2);
+    EXPECT_EQ(check(lba), 2);
     buf[3 * difSectorBytes + 2 * difTagBytes] ^= 0x01;
     // Misdirected I/O: right bytes, wrong LBA.
-    EXPECT_EQ(difCheck(buf, lba + 1), 0);
+    EXPECT_EQ(check(lba + 1), 0);
     // Truncation cannot pass as a whole protected buffer.
-    std::vector<std::uint8_t> cut(buf.begin(), buf.end() - 1);
-    EXPECT_EQ(difCheck(cut, lba), 0);
+    EXPECT_EQ(difCheck(buf.data(), buf.size() - 1, lba), 0);
+
+    // Tagging in place (tags written right behind the payload, as
+    // the block driver does in guest memory) gives the same wire.
+    std::vector<std::uint8_t> wire(difWireBytes(payload.size()));
+    std::copy(payload.begin(), payload.end(), wire.begin());
+    difBuildTags(wire.data(), payload.size(), lba,
+                 wire.data() + payload.size());
+    EXPECT_EQ(wire, buf);
 }
 
 // --- Frame checksums ---

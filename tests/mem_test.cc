@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -57,6 +59,22 @@ TEST(GuestMemoryTest, SeparateMemoriesDoNotAlias)
     GuestMemory a("a", 64), b("b", 64);
     a.write64(0, 0xdeadbeef);
     EXPECT_EQ(b.read64(0), 0u);
+}
+
+TEST(GuestMemoryTest, SpanIsBoundsCheckedView)
+{
+    Logger::global().setThrowOnDeath(true);
+    GuestMemory m("m", 64);
+    m.span(8, 4)[1] = 0x5a;
+    EXPECT_EQ(m.read8(9), 0x5au);
+    m.write8(63, 0x77);
+    const GuestMemory &cm = m;
+    EXPECT_EQ(cm.span(60, 4)[3], 0x77u);
+    EXPECT_NO_THROW(m.span(64, 0));
+    EXPECT_THROW(m.span(60, 5), PanicError);
+    EXPECT_THROW(cm.span(65, 0), PanicError);
+    EXPECT_THROW(m.span(8, ~Bytes(0)), PanicError); // wraps
+    Logger::global().setThrowOnDeath(false);
 }
 
 TEST(BumpAllocatorTest, AlignsAndAdvances)
@@ -260,6 +278,162 @@ TEST_F(DmaEngineTest, CopyvFaultConsumesWholeTransfer)
     EXPECT_EQ(dst.read8(200), 0x5a); // budget spent; next copy lands
     EXPECT_EQ(errors, 1u);
     EXPECT_EQ(dma.faultsInjected(), 1u);
+}
+
+/** Fill @p m with a position-dependent pattern. */
+void
+fillPattern(GuestMemory &m, std::uint8_t salt)
+{
+    for (Addr a = 0; a < m.size(); ++a)
+        m.write8(a, std::uint8_t(a * 7 + salt));
+}
+
+TEST_F(DmaEngineTest, CopyvOnSharedMemoryReadsAllBeforeWriting)
+{
+    // Segments that use one memory as both source and destination
+    // (overlapping within a segment and across segments) land as
+    // if every source were read before any destination is written.
+    GuestMemory m("m", 4096), other("other", 4096);
+    fillPattern(m, 1);
+    fillPattern(other, 2);
+    std::vector<DmaEngine::CopySeg> segs = {
+        {&m, 0, &m, 100, 300},       // overlaps itself
+        {&m, 100, &m, 1000, 300},    // reads what seg 0 writes
+        {&other, 0, &m, 1200, 64},   // later segment's write wins
+        {&m, 1200, &other, 512, 64}, // reads what segs 1-2 write
+    };
+    auto want_m = m.readBlob(0, m.size());
+    auto want_other = other.readBlob(0, other.size());
+    for (const auto &s : segs) {
+        auto &want = s.dst == &m ? want_m : want_other;
+        auto bytes = s.src->readBlob(s.srcAddr, s.len);
+        std::copy(bytes.begin(), bytes.end(),
+                  want.begin() + long(s.dstAddr));
+    }
+
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    dma.setIntegrity(true);
+    bool delivered = false;
+    dma.copyv(segs, [&] { delivered = dma.lastDelivered(); });
+    sim.run();
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(m.readBlob(0, m.size()), want_m);
+    EXPECT_EQ(other.readBlob(0, other.size()), want_other);
+    EXPECT_EQ(dma.ecrcDetected(), 0u);
+}
+
+TEST_F(DmaEngineTest, CopyvToManyMemoriesLandsEverySegment)
+{
+    // More distinct destinations than the aliasing check tracks.
+    GuestMemory src("src", 4096);
+    fillPattern(src, 9);
+    std::vector<std::unique_ptr<GuestMemory>> dsts;
+    std::vector<DmaEngine::CopySeg> segs;
+    for (unsigned i = 0; i < 6; ++i) {
+        dsts.push_back(std::make_unique<GuestMemory>(
+            "d" + std::to_string(i), 1024));
+        segs.push_back({&src, i * 100, dsts.back().get(), i, 100});
+    }
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    dma.copyv(segs, {});
+    sim.run();
+    for (unsigned i = 0; i < 6; ++i)
+        EXPECT_EQ(dsts[i]->readBlob(i, 100), src.readBlob(i * 100, 100))
+            << "segment " << i;
+}
+
+TEST_F(DmaEngineTest, CleanTransfersCountEcrcChecks)
+{
+    GuestMemory src("src", 8192), dst("dst", 8192);
+    fillPattern(src, 3);
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    dma.setIntegrity(true);
+    dma.copyv({{&src, 0, &dst, 4096, 1000},
+               {&src, 2048, &dst, 0, 500},
+               {nullptr, 0, nullptr, 0, 100}},
+              {});
+    dma.accountOnly(64, {}); // nothing to check
+    sim.run();
+    EXPECT_EQ(dst.readBlob(4096, 1000), src.readBlob(0, 1000));
+    EXPECT_EQ(dst.readBlob(0, 500), src.readBlob(2048, 500));
+    EXPECT_EQ(
+        sim.metrics().counter("dma.integrity.ecrc_checked").value(),
+        1u);
+}
+
+TEST_F(DmaEngineTest, CorruptionDetectedAndHealedWithIntegrity)
+{
+    GuestMemory src("src", 8192), dst("dst", 8192);
+    fillPattern(src, 4);
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    dma.setIntegrity(true);
+    sim.faults().deliver("dma", fault::FaultSpec{
+                                    fault::FaultKind::DmaCorrupt, 1,
+                                    0, 0.0});
+    unsigned calls = 0;
+    dma.copyv({{&src, 0, &dst, 0, 1000}, {&src, 3000, &dst, 2000, 700}},
+              [&] {
+                  ++calls;
+                  EXPECT_TRUE(dma.lastDelivered());
+              });
+    sim.run();
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(dst.readBlob(0, 1000), src.readBlob(0, 1000));
+    EXPECT_EQ(dst.readBlob(2000, 700), src.readBlob(3000, 700));
+    EXPECT_EQ(dma.ecrcDetected(), 1u);
+    EXPECT_EQ(dma.ecrcHealed(), 1u);
+    EXPECT_EQ(dma.ecrcEscalations(), 0u);
+    // The corrupted attempt and its clean replay were both checked.
+    EXPECT_EQ(
+        sim.metrics().counter("dma.integrity.ecrc_checked").value(),
+        2u);
+}
+
+TEST_F(DmaEngineTest, CorruptionLandsWithIntegrityOff)
+{
+    GuestMemory src("src", 8192), dst("dst", 8192);
+    fillPattern(src, 5);
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    sim.faults().deliver("dma", fault::FaultSpec{
+                                    fault::FaultKind::DmaCorrupt, 1,
+                                    0, 0.0});
+    bool delivered = false;
+    dma.copyv({{&src, 0, &dst, 0, 200}, {&src, 1000, &dst, 500, 100}},
+              [&] { delivered = dma.lastDelivered(); });
+    sim.run();
+    EXPECT_TRUE(delivered);
+    // Every 64th byte of each segment arrives flipped.
+    auto want0 = src.readBlob(0, 200);
+    for (std::size_t i = 0; i < want0.size(); i += 64)
+        want0[i] ^= 0xA5;
+    auto want1 = src.readBlob(1000, 100);
+    for (std::size_t i = 0; i < want1.size(); i += 64)
+        want1[i] ^= 0xA5;
+    EXPECT_EQ(dst.readBlob(0, 200), want0);
+    EXPECT_EQ(dst.readBlob(500, 100), want1);
+    EXPECT_EQ(dma.ecrcDetected(), 0u);
+    EXPECT_EQ(dma.faultsInjected(), 1u);
+}
+
+TEST_F(DmaEngineTest, FailLeavesDestinationUntouched)
+{
+    GuestMemory src("src", 4096), dst("dst", 4096);
+    fillPattern(src, 6);
+    dst.fill(0, dst.size(), 0xEE);
+    DmaEngine dma(sim, "dma", Bandwidth::gbps(50));
+    dma.setIntegrity(true);
+    sim.faults().deliver(
+        "dma", fault::FaultSpec{fault::FaultKind::DmaFail, 1, 0, 0.0});
+    bool delivered = true;
+    dma.copyv({{&src, 0, &dst, 0, 1024}, {&src, 2048, &dst, 2048, 64}},
+              [&] { delivered = dma.lastDelivered(); });
+    sim.run();
+    EXPECT_FALSE(delivered);
+    EXPECT_EQ(dst.readBlob(0, dst.size()),
+              std::vector<std::uint8_t>(dst.size(), 0xEE));
+    EXPECT_EQ(
+        sim.metrics().counter("dma.integrity.ecrc_checked").value(),
+        0u);
 }
 
 TEST(PoolAllocatorTest, AllocFreeReuse)
