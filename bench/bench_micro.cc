@@ -3,13 +3,16 @@
  * Microbenchmarks (google-benchmark) of the simulator's hot paths:
  * vring serialization, virtqueue submit/pop/complete cycles, the
  * event queue, the DMA engine, the CRC32C / T10-DIF checksum
- * kernels, the pool allocator, and one full guest-to-guest packet
- * round trip. These measure *simulator*
+ * kernels, the pool allocator, one-shot event churn, and one full
+ * guest-to-guest packet round trip. These measure *simulator*
  * performance (host wall time), not simulated time — they bound
  * how large an experiment the harness can run.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <vector>
 
 #include "base/checksum.hh"
 #include "bench/common.hh"
@@ -44,11 +47,12 @@ BM_VirtqueueCycle(benchmark::State &state)
     auto layout = virtio::VringLayout::contiguous(256, 0x1000);
     virtio::VirtQueueDriver drv(mem, layout);
     virtio::VirtQueueDevice dev(mem, layout);
+    std::vector<virtio::UsedCompletion> done;
     for (auto _ : state) {
         auto head = drv.submit({{0x20000, 64, false}}, {}, 1);
         auto chain = dev.pop();
         dev.pushUsed(chain->head, 0);
-        auto done = drv.collectUsed();
+        drv.collectUsed(done);
         benchmark::DoNotOptimize(head);
         benchmark::DoNotOptimize(done);
     }
@@ -63,6 +67,7 @@ BM_VirtqueueIndirectCycle(benchmark::State &state)
     auto layout = virtio::VringLayout::contiguous(256, 0x1000);
     virtio::VirtQueueDriver drv(mem, layout, true, 0x80000);
     virtio::VirtQueueDevice dev(mem, layout);
+    std::vector<virtio::UsedCompletion> done;
     for (auto _ : state) {
         auto head = drv.submit(
             {{0x20000, 16, false}, {0x21000, 4096, false}},
@@ -70,7 +75,7 @@ BM_VirtqueueIndirectCycle(benchmark::State &state)
         benchmark::DoNotOptimize(head);
         auto chain = dev.pop();
         dev.pushUsed(chain->head, 1);
-        auto done = drv.collectUsed();
+        drv.collectUsed(done);
         benchmark::DoNotOptimize(done);
     }
     state.SetItemsProcessed(state.iterations());
@@ -97,6 +102,30 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_OneShotEventChurn(benchmark::State &state)
+{
+    // The per-packet event pattern: fire-and-forget one-shots with
+    // a 64-byte capture (a Packet plus a pointer and an index),
+    // scheduled a few ticks out and fired. Pooled storage and
+    // inline captures keep this off the heap.
+    EventQueue q;
+    std::array<char, 56> payload{};
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        for (unsigned i = 0; i < 64; ++i) {
+            auto *ev = new OneShotEvent(
+                [&sink, payload] { sink += std::uint8_t(payload[0]); },
+                "churn");
+            q.schedule(ev, q.curTick() + 1 + i % 8);
+        }
+        q.run();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_OneShotEventChurn)->UseRealTime();
 
 void
 BM_DmaEngineCopy4K(benchmark::State &state)
@@ -184,6 +213,48 @@ BM_PoolAllocatorChurn(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PoolAllocatorChurn);
+
+void
+BM_PoolAllocatorIoBondMix(benchmark::State &state)
+{
+    // IO-Bond's shadow arena under a net flood: ~512 long-lived
+    // 2 KiB rx buffers, laid down interleaved with short tx frames,
+    // so the free list is a comb of small holes in front of the
+    // big tail. Churn re-posts rx buffers and cycles ~60 B tx
+    // frames; every first-fit search walks that comb.
+    PoolAllocator pool(4 * MiB, 16 * MiB);
+    std::vector<Addr> rx, tx;
+    for (unsigned i = 0; i < 512; ++i) {
+        rx.push_back(pool.alloc(2 * KiB, 16));
+        tx.push_back(pool.alloc(60, 16));
+    }
+    for (Addr a : tx)
+        pool.free(a);
+    tx.clear();
+    Rng rng(3);
+    for (auto _ : state) {
+        if (rng.chance(0.25)) {
+            std::size_t i =
+                std::size_t(rng.uniformInt(0, rx.size() - 1));
+            pool.free(rx[i]);
+            rx[i] = pool.alloc(2 * KiB, 16);
+        } else if (tx.size() < 64 && rng.chance(0.55)) {
+            tx.push_back(pool.alloc(60, 16));
+        } else if (!tx.empty()) {
+            std::size_t i =
+                std::size_t(rng.uniformInt(0, tx.size() - 1));
+            pool.free(tx[i]);
+            tx[i] = tx.back();
+            tx.pop_back();
+        }
+    }
+    for (Addr a : rx)
+        pool.free(a);
+    for (Addr a : tx)
+        pool.free(a);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolAllocatorIoBondMix)->UseRealTime();
 
 void
 BM_PsimWindowScaling(benchmark::State &state)

@@ -213,7 +213,7 @@ BlockService::submit(Volume &vol, BlockIo io)
     auto done = std::move(io.done);
     auto *ev = new OneShotEvent([done = std::move(done)] {
             done(false);
-        }, name() + ".complete");
+        }, {name(), ".complete"});
     eventq().schedule(ev, completion);
 }
 
@@ -249,7 +249,7 @@ BlockService::submitArrived(Volume &vol, BlockIo io)
     auto done = std::move(io.done);
     sim_.post(io.srcPartition, completion,
               [done = std::move(done), wire] { done(wire); },
-              Event::defaultPri, name() + ".complete");
+              Event::defaultPri, {name(), ".complete"});
 }
 
 } // namespace cloud

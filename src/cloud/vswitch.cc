@@ -60,7 +60,7 @@ VSwitch::stallPort(PortId id, Tick duration)
     port.stallUntil = until;
     faultInjected_.inc();
     auto *ev = new OneShotEvent([this, id] { flushPort(id); },
-                                name() + ".unstall");
+                                {name(), ".unstall"});
     eventq().schedule(ev, until);
 }
 
@@ -203,11 +203,11 @@ VSwitch::forward(const Packet &pktIn)
             auto fn = uplink_;
             sim_.post(uplinkPartition_, hand,
                       [fn, copy] { fn(copy); }, Event::defaultPri,
-                      name() + ".uplink");
+                      {name(), ".uplink"});
             return;
         }
         auto *ev = new OneShotEvent(
-            [this, copy] { uplink_(copy); }, name() + ".uplink");
+            [this, copy] { uplink_(copy); }, {name(), ".uplink"});
         eventq().schedule(ev, arrive);
         return;
     }
@@ -239,7 +239,7 @@ VSwitch::deliverTo(PortId pid, const Packet &pkt, Tick ready)
                 p.rx(copy);
             }
         },
-        name() + ".deliver");
+        {name(), ".deliver"});
     eventq().schedule(ev, arrive);
 }
 
@@ -277,7 +277,7 @@ NetFabric::route(const Packet &pkt)
     // the correct tick instead of against its parked clock.
     auto *ev = new OneShotEvent(
         [sw, copy] { sw->receiveFromUplink(copy); },
-        name() + ".route");
+        {name(), ".route"});
     sw->eventq().schedule(ev, curTick() + propagation_);
 }
 

@@ -571,7 +571,7 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
         containment_[idx].quarantinedAt = curTick();
         auto *ev = new OneShotEvent(
             [this, idx] { releaseQuarantine(idx); },
-            name() + ".quarantine_release");
+            {name(), ".quarantine_release"});
         scheduleIn(ev, params_.containment.quarantineDwell);
     }
 
@@ -793,7 +793,7 @@ BmHiveServer::quarantineGuest(unsigned i)
     flightDump(i, "quarantine");
     auto *ev = new OneShotEvent(
         [this, i] { releaseQuarantine(i); },
-        name() + ".quarantine_release");
+        {name(), ".quarantine_release"});
     scheduleIn(ev, params_.containment.quarantineDwell);
 }
 

@@ -187,7 +187,7 @@ FaultInjector::arm()
         Tick when = e.at < curTick() ? curTick() : e.at;
         auto *ev = new OneShotEvent(
             [this, idx = armed_] { deliver(plan_[idx]); },
-            name() + ".fire");
+            {name(), ".fire"});
         eventq().schedule(ev, when);
     }
 }

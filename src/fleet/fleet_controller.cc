@@ -79,7 +79,7 @@ FleetController::FleetController(Simulation &sim, std::string name,
                 sim_.post(0, sim_.now() + sim_.lookahead(),
                           [this, s, idx] { onAbortSignal(s, idx); },
                           Event::defaultPri,
-                          this->name() + ".abort_signal");
+                          {this->name(), ".abort_signal"});
                 return;
             }
             onAbortSignal(s, idx);
@@ -103,11 +103,11 @@ FleetController::FleetController(Simulation &sim, std::string name,
             if (sim_.partitioned()) {
                 sim_.post(0, sim_.now() + sim_.lookahead(),
                           std::move(fire), Event::defaultPri,
-                          this->name() + ".integrity_drain");
+                          {this->name(), ".integrity_drain"});
                 return;
             }
             auto *ev = new OneShotEvent(
-                std::move(fire), this->name() + ".integrity_drain");
+                std::move(fire), {this->name(), ".integrity_drain"});
             scheduleIn(ev, 0);
         });
         // Server-level fault surface: power, boards, fabric.
@@ -391,7 +391,7 @@ FleetController::settle(GuestId id)
             return;
         }
         auto *ev = new OneShotEvent([this, id] { settle(id); },
-                                    name() + ".settle");
+                                    {name(), ".settle"});
         scheduleIn(ev, params_.settleRetry);
         return;
     }
@@ -429,7 +429,7 @@ FleetController::commit(GuestId id)
                               finish(id, new_idx);
                           },
                           Event::defaultPri,
-                          this->name() + ".finish");
+                          {this->name(), ".finish"});
             } else {
                 finish(id, new_idx);
             }

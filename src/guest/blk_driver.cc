@@ -153,19 +153,20 @@ BlkDriver::resubmit(std::uint16_t slot)
     bool is_write = (s.type == VIRTIO_BLK_T_OUT);
     auto data_len = std::uint32_t(
         integrity_ ? cloud::difWireBytes(s.len) : s.len);
-    std::vector<Segment> out = {
+    Segment out[2] = {
         {s.hdr, std::uint32_t(VirtioBlkReqHdr::wireSize), false}};
-    std::vector<Segment> in;
+    Segment in[2];
+    std::size_t nout = 1, nin = 0;
     if (s.len > 0) {
         Segment dataseg{s.data, data_len, !is_write};
         if (is_write)
-            out.push_back(dataseg);
+            out[nout++] = dataseg;
         else
-            in.push_back(dataseg);
+            in[nin++] = dataseg;
     }
-    in.push_back({s.status, 1, true});
+    in[nin++] = {s.status, 1, true};
 
-    auto head = queue(s.q).submit(out, in, slot);
+    auto head = queue(s.q).submit({out, nout}, {in, nin}, slot);
     if (!head)
         return false;
     slotOfHead_[s.q][*head] = slot;
@@ -209,7 +210,10 @@ BlkDriver::completionInterrupt(unsigned q)
         return;
     }
     bool resubmitted = false;
-    for (const auto &c : queue(q).collectUsed()) {
+    // A completion callback may reset the driver (tearing the
+    // queue down) or submit more work; the reaped list lives here.
+    queue(q).collectUsed(used_);
+    for (const auto &c : used_) {
         std::uint16_t slot = slotOfHead_[q][c.head];
         Slot &s = slots_[slot];
         std::uint8_t status = os_.memory().read8(s.status);

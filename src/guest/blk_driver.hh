@@ -131,6 +131,8 @@ class BlkDriver : public VirtioDriver
 
     std::vector<Slot> slots_;
     std::vector<std::uint16_t> freeSlots_;
+    /** Reused by completionInterrupt. */
+    std::vector<virtio::UsedCompletion> used_;
     /** Per-queue head -> slot map. */
     std::vector<std::vector<std::uint16_t>> slotOfHead_;
     unsigned activeQueues_ = 1;

@@ -113,11 +113,10 @@ NetDriver::fillRx(unsigned pair)
     // Post one 2 KiB writable buffer per free descriptor; slot
     // number mirrors the chosen head (single-desc chains).
     while (rxq.freeDescs() > 0) {
-        // Peek which head will be used: submit and record after.
-        std::vector<Segment> in = {{0, std::uint32_t(bufBytes),
-                                    true}};
-        // Address depends on head; reserve a throwaway, then fix.
-        auto head = rxq.submit({}, in, /*cookie=*/0);
+        // Address depends on head, which is known only after the
+        // submit: post a placeholder address, then fix it.
+        auto head = rxq.submit(
+            {}, {{0, std::uint32_t(bufBytes), true}}, /*cookie=*/0);
         if (!head)
             break;
         // Rewrite the descriptor with the slot-specific address.
@@ -159,9 +158,9 @@ NetDriver::sendPacket(const cloud::Packet &pkt, bool kick_now,
     Bytes claim = VirtioNetHdr::wireSize + pkt.len;
     // The descriptor claims the full frame length so bandwidth
     // models see real sizes; metadata occupies the head of it.
-    std::vector<Segment> out = {
-        {buf, std::uint32_t(std::max(payload, claim)), false}};
-    auto head = txq.submit(out, {}, slot);
+    auto head = txq.submit(
+        {{buf, std::uint32_t(std::max(payload, claim)), false}}, {},
+        slot);
     if (!head)
         return false;
     ps.txFreeSlots.pop_back();
@@ -198,7 +197,8 @@ NetDriver::txInterrupt(unsigned pair)
         return;
     }
     PairState &ps = pairs_[pair];
-    for (const auto &c : queue(netTxQueue(pair)).collectUsed()) {
+    queue(netTxQueue(pair)).collectUsed(txUsed_);
+    for (const auto &c : txUsed_) {
         ps.txFreeSlots.push_back(std::uint16_t(c.cookie));
         txDone_.inc();
     }
@@ -234,7 +234,8 @@ NetDriver::napiPoll(unsigned pair)
     PairState &ps = pairs_[pair];
     auto &rxq = queue(netRxQueue(pair));
     unsigned drained = 0;
-    for (const auto &c : rxq.collectUsed()) {
+    rxq.collectUsed(rxUsed_);
+    for (const auto &c : rxUsed_) {
         std::uint16_t slot = ps.rxSlotOfHead[c.head];
         Addr buf = rxBuf(pair, slot);
         cloud::Packet pkt = unpackPacket(

@@ -135,6 +135,10 @@ class NetDriver : public VirtioDriver
     cloud::MacAddr mac_;
     RxHandler rxHandler_;
     std::vector<PairState> pairs_;
+    /** Reused by txInterrupt / napiPoll (an rx handler may send,
+     *  which reaps tx inside the rx loop, hence two buffers). */
+    std::vector<virtio::UsedCompletion> txUsed_;
+    std::vector<virtio::UsedCompletion> rxUsed_;
     unsigned activePairs_ = 1;
     unsigned requestedPairs_ = 0;
     Counter txDone_;

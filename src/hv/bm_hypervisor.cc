@@ -723,7 +723,7 @@ BmHypervisor::finishUpgrade(Tick t0, std::function<void(Tick)> done)
     if (service_->blkInflight() > 0) {
         auto *ev = new OneShotEvent(
             [this, t0, done] { finishUpgrade(t0, done); },
-            name() + ".quiesce");
+            {name(), ".quiesce"});
         scheduleIn(ev, usToTicks(10));
         return;
     }

@@ -445,8 +445,8 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
     if (chains.empty())
         return 0;
     Tick cost = 0;
-    std::vector<VringUsedElem> used;
-    used.reserve(chains.size());
+    std::vector<VringUsedElem> &used = usedScratch_;
+    used.clear();
     for (const auto &chain : chains) {
         if (netTracer_) {
             // Under a shared scheduler the wait for a poll visit
@@ -477,13 +477,13 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
                                sim().lookahead(),
                            [sw, port, pkt] { sw->send(port, pkt); },
                            Event::defaultPri,
-                           name() + ".paced_tx");
+                           {name(), ".paced_tx"});
             } else if (when <= curTick()) {
                 sw->send(port, pkt);
             } else {
                 auto *ev = new OneShotEvent(
                     [sw, port, pkt] { sw->send(port, pkt); },
-                    name() + ".paced_tx");
+                    {name(), ".paced_tx"});
                 eventq().schedule(ev, when);
             }
             txPkts_.inc();
@@ -508,7 +508,8 @@ VirtioIoService::pollNetRx(NetPair &np, unsigned max,
 {
     Tick cost = 0;
     unsigned completed = 0;
-    std::vector<VringUsedElem> used;
+    std::vector<VringUsedElem> &used = usedScratch_;
+    used.clear();
     while (completed < max && !np.rxPending.empty()) {
         if (!np.rx->hasWork())
             break; // guest has not replenished rx buffers
@@ -621,7 +622,8 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
     // one used-ring publish and one barrier at the end of the
     // drain; real reads/writes complete asynchronously from
     // onBlkServiceDone.
-    std::vector<VringUsedElem> done_now;
+    std::vector<VringUsedElem> &done_now = usedScratch_;
+    done_now.clear();
     while (picked < max) {
         auto chain = bq.vq->pop();
         if (!chain)
@@ -793,7 +795,7 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
             [this, seq, gen, attempt = p.attempt] {
                 onBlkTimeout(seq, gen, attempt);
             },
-            name() + ".blk_timeout");
+            {name(), ".blk_timeout"});
         eventq().schedule(tev, curTick() + wait);
     }
 
@@ -831,14 +833,14 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
                                    *vol, std::move(*io_box));
                            },
                            Event::defaultPri,
-                           name() + ".blk_submit");
+                           {name(), ".blk_submit"});
                 return;
             }
             auto *ev = new OneShotEvent(
                 [svc, vol, io_box] {
                     svc->submit(*vol, std::move(*io_box));
                 },
-                name() + ".blk_submit");
+                {name(), ".blk_submit"});
             eventq().schedule(ev, at);
         });
 }

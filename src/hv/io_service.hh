@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "base/paper_constants.hh"
+#include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "cloud/block_service.hh"
 #include "cloud/rate_limiter.hh"
@@ -386,7 +387,7 @@ class VirtioIoService : public SimObject, public sched::Pollable
         std::unique_ptr<virtio::VirtQueueDevice> tx;
         CompletionBarrier rxDone;
         CompletionBarrier txDone;
-        std::deque<cloud::Packet> rxPending;
+        RingQueue<cloud::Packet> rxPending;
         std::uint64_t txKeyBase = 0;
     };
 
@@ -443,6 +444,9 @@ class VirtioIoService : public SimObject, public sched::Pollable
     hw::CpuExecutor &core_;
     hw::CpuExecutor *blkCore_ = nullptr; ///< defaults to &core_
     IoServiceParams params_;
+
+    /** Used elements of the batch being completed (reused). */
+    std::vector<virtio::VringUsedElem> usedScratch_;
 
     // Net role.
     GuestMemory *netMem_ = nullptr;

@@ -68,9 +68,9 @@ class CpuExecutor : public SimObject
      * @param exits  number of exit-causing events within the work
      * @return tick at which the work completes
      */
+    template <typename F>
     Tick
-    run(Tick nominal_cost, std::function<void()> fn,
-        unsigned exits = 0)
+    run(Tick nominal_cost, F &&fn, unsigned exits = 0)
     {
         Tick start = busyUntil_ > curTick() ? busyUntil_ : curTick();
         Tick scaled = Tick(double(nominal_cost) / speedFactor_);
@@ -79,8 +79,8 @@ class CpuExecutor : public SimObject
         Tick end = start + dur;
         busyUntil_ = end;
         busyTime_ += dur;
-        auto *ev = new OneShotEvent(std::move(fn),
-                                    name() + ".work");
+        auto *ev = new OneShotEvent(std::forward<F>(fn),
+                                    {name(), ".work"});
         eventq().schedule(ev, end);
         return end;
     }

@@ -164,8 +164,10 @@ IoBond::injectFault(const fault::FaultSpec &spec)
         if (flight_)
             flight_->record(curTick(), obs::FlightEvent::FaultInject,
                             0, 0, std::uint64_t(spec.kind));
-        trace(name() + ": PCIe link down for " +
-              std::to_string(ticksToUs(dur)) + "us");
+        trace([&] {
+            return name() + ": PCIe link down for " +
+                   std::to_string(ticksToUs(dur)) + "us";
+        });
         // When the link comes back, sweep every ready queue: any
         // doorbell lost during the outage is recovered here.
         auto *ev = new OneShotEvent(
@@ -173,7 +175,7 @@ IoBond::injectFault(const fault::FaultSpec &spec)
                 if (curTick() >= linkDownUntil_)
                     rescanReady();
             },
-            name() + ".linkup");
+            {name(), ".linkup"});
         eventq().schedule(ev, linkDownUntil_);
         return true;
       }
@@ -186,7 +188,7 @@ IoBond::injectFault(const fault::FaultSpec &spec)
         // The mailbox-timeout resync sweep bounds how long a lost
         // notification can strand queued work.
         auto *ev = new OneShotEvent([this] { rescanReady(); },
-                                    name() + ".resync");
+                                    {name(), ".resync"});
         scheduleIn(ev, spec.duration ? spec.duration
                                      : usToTicks(100));
         return true;
@@ -207,12 +209,13 @@ IoBond::injectFault(const fault::FaultSpec &spec)
                 ShadowQueue &sq = shadow_[fi][q];
                 if (!sq.ready)
                     continue;
-                for (auto &[head, cs] : sq.inflight) {
-                    if (budget == 0)
-                        break;
-                    corruptShadowMeta(sq, head, cs);
-                    --budget;
-                }
+                sq.inflight.forEach(
+                    [&](std::uint16_t head, ChainShadow &cs) {
+                        if (budget == 0)
+                            return;
+                        corruptShadowMeta(sq, head, cs);
+                        --budget;
+                    });
             }
         }
         metaCorruptBudget_ += budget;
@@ -265,8 +268,10 @@ IoBond::onIntegrityEscalation()
         unsigned(lastActiveFn_) >= functions_.size())
         return;
     unsigned fn = unsigned(lastActiveFn_);
-    trace(name() + ": ECRC retries exhausted, resetting fn=" +
-          std::to_string(fn));
+    trace([&] {
+        return name() + ": ECRC retries exhausted, resetting fn=" +
+               std::to_string(fn);
+    });
     failFunction(fn);
     if (integrityEscalationCb_)
         integrityEscalationCb_(fn);
@@ -305,7 +310,7 @@ IoBond::scheduleScrub()
             if (epoch == scrubEpoch_)
                 scrubPass();
         },
-        name() + ".scrub");
+        {name(), ".scrub"});
     scheduleIn(ev, params_.scrubPeriod);
 }
 
@@ -341,10 +346,12 @@ IoBond::scrubPass()
                 flight_->record(curTick(),
                                 obs::FlightEvent::IntegrityDetect,
                                 fi, q, /*where=*/1, repairs);
-            trace(name() + ": scrub repaired " +
-                  std::to_string(repairs) +
-                  " shadow-metadata fields fn=" +
-                  std::to_string(fi) + " q=" + std::to_string(q));
+            trace([&] {
+                return name() + ": scrub repaired " +
+                       std::to_string(repairs) +
+                       " shadow-metadata fields fn=" +
+                       std::to_string(fi) + " q=" + std::to_string(q);
+            });
             // A repair IS the heal for metadata: the chain keeps
             // flowing on the corrected descriptors. Repeated dirt
             // on one queue escalates to a reset instead.
@@ -362,8 +369,10 @@ IoBond::scrubPass()
             flight_->record(curTick(),
                             obs::FlightEvent::IntegrityEscalate, fn,
                             0, /*where=*/1);
-        trace(name() + ": persistent metadata corruption, " +
-              "resetting fn=" + std::to_string(fn));
+        trace([&] {
+            return name() + ": persistent metadata corruption, " +
+                   "resetting fn=" + std::to_string(fn);
+        });
         failFunction(fn);
         if (integrityEscalationCb_)
             integrityEscalationCb_(fn);
@@ -377,7 +386,7 @@ IoBond::scrubQueue(unsigned fn, unsigned q)
 {
     ShadowQueue &sq = shadow_[fn][q];
     unsigned repairs = 0;
-    for (auto &[head, cs] : sq.inflight) {
+    sq.inflight.forEach([&](std::uint16_t head, ChainShadow &cs) {
         scrubChecked_.inc();
         if (cs.indirectBlock != PoolAllocator::nullAddr) {
             // Head descriptor pointing at the indirect table.
@@ -447,23 +456,23 @@ IoBond::scrubQueue(unsigned fn, unsigned q)
                 }
             }
         }
-    }
+    });
     // Avail-ring audit. Chains complete out of order (blk), so ring
     // positions cannot be paired with the inflight table sorted by
     // seq — each chain records the cursor its publish DMA actually
     // landed at, and only that slot is checked. A slot whose cursor
     // has since lapped the ring belongs to a newer chain; skip it.
-    for (auto &[head, cs] : sq.inflight) {
+    sq.inflight.forEach([&](std::uint16_t head, ChainShadow &cs) {
         if (!cs.published ||
             std::uint16_t(sq.shadowAvail - cs.availPos) >=
                 sq.shadowLayout.size())
-            continue;
+            return;
         std::uint16_t pos = cs.availPos % sq.shadowLayout.size();
         if (sq.shadowLayout.availRing(*baseMem_, pos) != head) {
             sq.shadowLayout.setAvailRing(*baseMem_, pos, head);
             ++repairs;
         }
-    }
+    });
     if (sq.shadowLayout.availIdx(*baseMem_) != sq.shadowAvail) {
         sq.shadowLayout.setAvailIdx(*baseMem_, sq.shadowAvail);
         ++repairs;
@@ -475,8 +484,10 @@ void
 IoBond::failFunction(unsigned fn)
 {
     panic_if(fn >= functions_.size(), name(), ": bad function ", fn);
-    trace(name() + ": function " + std::to_string(fn) +
-          " failed, raising DEVICE_NEEDS_RESET");
+    trace([&] {
+        return name() + ": function " + std::to_string(fn) +
+               " failed, raising DEVICE_NEEDS_RESET";
+    });
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::Reset, fn);
     functionReset(*functions_[fn]);
@@ -490,7 +501,9 @@ IoBond::guestFault(fault::GuestFaultKind k)
 {
     guestFaultCounters_[std::size_t(k)]->inc();
     guestFaultsTotal_.inc();
-    trace(name() + ": guest fault " + fault::guestFaultName(k));
+    trace([&] {
+        return name() + ": guest fault " + fault::guestFaultName(k);
+    });
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::GuestFault,
                         lastActiveFn_ >= 0 ? unsigned(lastActiveFn_)
@@ -506,8 +519,10 @@ IoBond::setQuarantined(bool on)
     if (quarantined_ == on)
         return;
     quarantined_ = on;
-    trace(name() + (on ? ": quarantined"
-                       : ": quarantine released"));
+    trace([&] {
+        return name() + (on ? ": quarantined"
+                            : ": quarantine released");
+    });
     // On release, sweep the ready queues: doorbells swallowed
     // during the quarantine must not strand queued work forever.
     if (!on)
@@ -520,8 +535,10 @@ IoBond::setDrained(bool on)
     if (drained_ == on)
         return;
     drained_ = on;
-    trace(name() + (on ? ": drained (doorbells deferred)"
-                       : ": drain lifted"));
+    trace([&] {
+        return name() + (on ? ": drained (doorbells deferred)"
+                            : ": drain lifted");
+    });
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::Drain, 0, 0,
                         on ? 1 : 0);
@@ -609,12 +626,13 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
             // used element lands, so guest memory still holds them
             // verbatim — the same replay recoverQueue does after a
             // backend crash.
-            auto old = std::move(sq.inflight);
-            sq.inflight.clear();
             std::vector<std::pair<std::uint64_t, std::uint16_t>>
                 order;
-            for (const auto &[head, cs] : old)
-                order.emplace_back(cs.seq, head);
+            sq.inflight.forEach(
+                [&](std::uint16_t head, const ChainShadow &cs) {
+                    order.emplace_back(cs.seq, head);
+                });
+            sq.inflight.clear();
             std::sort(order.begin(), order.end());
             std::uint16_t window =
                 std::uint16_t(sq.shadowAvail - sq.syncedUsed);
@@ -628,7 +646,7 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
                     continue; // contained; completed as failed
                 sq.shadowLayout.setAvailRing(
                     *baseMem_, pos % sq.shadowLayout.size(), head);
-                ChainShadow &ncs = sq.inflight.at(head);
+                ChainShadow &ncs = *sq.inflight.find(head);
                 ncs.availPos = pos;
                 ncs.published = true;
                 ++pos;
@@ -646,10 +664,12 @@ IoBond::rebase(GuestMemory &new_base, Addr region_base,
                                       meta > 0 ? meta : 1});
     if (replayed > 0)
         faultRecovered_.inc(replayed);
-    trace(name() + ": rebased onto " + new_base.name() + ", " +
-          std::to_string(replayed) + " chains replayed");
+    trace([&] {
+        return name() + ": rebased onto " + new_base.name() + ", " +
+               std::to_string(replayed) + " chains replayed";
+    });
     dma_.copyv(
-        std::move(segs),
+        segs,
         [this, finish = std::move(finish),
          done = std::move(done)] {
             for (const auto &f : finish) {
@@ -825,6 +845,7 @@ IoBond::driverReady(IoBondFunction &fn)
         }
         sq.shadowLayout =
             VringLayout::contiguous(qs.size, sq.ringBlock);
+        sq.inflight.reserveRing(qs.size);
         sq.shadowLayout.setAvailFlags(*baseMem_, 0);
         sq.shadowLayout.setAvailIdx(*baseMem_, 0);
         sq.shadowLayout.setUsedFlags(*baseMem_, 0);
@@ -842,8 +863,10 @@ IoBond::driverReady(IoBondFunction &fn)
             sq.guestLayout.setAvailEvent(board_.memory(), 0);
         sq.ready = true;
         any_ready = true;
-        trace(name() + ": shadow vring ready fn=" +
-              std::to_string(fi) + " q=" + std::to_string(q));
+        trace([&] {
+            return name() + ": shadow vring ready fn=" +
+                   std::to_string(fi) + " q=" + std::to_string(q);
+        });
     }
     if (any_ready && readyCb_)
         readyCb_(fi);
@@ -859,12 +882,12 @@ IoBond::functionReset(IoBondFunction &fn)
         // drop them so a resetting guest cannot pin tracer state.
         if (sq.reqTracer)
             sq.reqTracer->dropOpen(fi, q);
-        for (auto &[head, cs] : sq.inflight) {
+        sq.inflight.forEach([&](std::uint16_t, ChainShadow &cs) {
             if (cs.bufBlock != PoolAllocator::nullAddr)
                 pool_.free(cs.bufBlock);
             if (cs.indirectBlock != PoolAllocator::nullAddr)
                 pool_.free(cs.indirectBlock);
-        }
+        });
         sq.inflight.clear();
         sq.ready = false;
         // In-flight DMA completions for this queue must not touch
@@ -876,8 +899,10 @@ IoBond::functionReset(IoBondFunction &fn)
 void
 IoBond::queuePairsSet(IoBondFunction &fn, unsigned pairs)
 {
-    trace(name() + ": fn=" + std::to_string(fn.index()) +
-          " set-queue-pairs -> " + std::to_string(pairs));
+    trace([&] {
+        return name() + ": fn=" + std::to_string(fn.index()) +
+               " set-queue-pairs -> " + std::to_string(pairs);
+    });
     if (queuePairsCb_)
         queuePairsCb_(fn.index(), pairs);
 }
@@ -926,8 +951,10 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
         if (dropDoorbells_ > 0)
             --dropDoorbells_;
         droppedDoorbells_.inc();
-        trace(name() + ": doorbell fn=" + std::to_string(fi) +
-              " q=" + std::to_string(q) + " dropped (fault)");
+        trace([&] {
+            return name() + ": doorbell fn=" + std::to_string(fi) +
+                   " q=" + std::to_string(q) + " dropped (fault)";
+        });
         if (flight_)
             flight_->record(curTick(),
                             obs::FlightEvent::DoorbellDrop, fi, q,
@@ -956,13 +983,15 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
                         fnDoorbells_[fi].tryConsume(curTick(), 1.0))
                         syncAvail(fi, q);
                 },
-                name() + ".storm_resync");
+                {name(), ".storm_resync"});
             eventq().schedule(ev, at);
         }
         return;
     }
-    trace(name() + ": doorbell fn=" + std::to_string(fi) +
-          " q=" + std::to_string(q));
+    trace([&] {
+        return name() + ": doorbell fn=" + std::to_string(fi) +
+               " q=" + std::to_string(q);
+    });
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::DoorbellAccept,
                         fi, q);
@@ -976,7 +1005,7 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
     // The notification crosses to the mailbox side of the FPGA
     // before descriptor fetch begins.
     auto *ev = new OneShotEvent(
-        [this, fi, q] { syncAvail(fi, q); }, name() + ".mailbox");
+        [this, fi, q] { syncAvail(fi, q); }, {name(), ".mailbox"});
     scheduleIn(ev, params_.mailboxAccess);
 }
 
@@ -1003,8 +1032,9 @@ IoBond::syncAvail(unsigned fn, unsigned q)
     // (one startup cost over the batch, paper section 3.4.3), and
     // one head-register bump publishes every chain at once.
     unsigned picked = 0;
-    std::vector<DmaEngine::CopySeg> segs;
-    std::vector<std::uint16_t> heads;
+    std::vector<DmaEngine::CopySeg> &segs = segScratch_;
+    segs.clear();
+    std::vector<std::uint16_t> heads = takeSpare(spareHeads_);
     Bytes meta = 0;
     while (sq.syncedAvail != gavail) {
         std::uint16_t head = sq.guestLayout.availRing(
@@ -1022,69 +1052,79 @@ IoBond::syncAvail(unsigned fn, unsigned q)
         // queue after the first 2^16 window of the index space.
         sq.guestLayout.setAvailEvent(gmem, sq.syncedAvail);
     }
-    if (heads.empty())
+    if (heads.empty()) {
+        spareHeads_.push_back(std::move(heads));
         return picked;
+    }
 
     // Ring metadata follows the payloads through the DMA engine;
     // the burst is published on the shadow ring (and the head
     // register bumped, once) only when everything has landed.
     segs.push_back(DmaEngine::CopySeg{nullptr, 0, nullptr, 0, meta});
-    std::uint64_t epoch = sq.epoch;
-    dma_.copyv(
-        std::move(segs),
-        [this, fn, q, heads = std::move(heads), epoch] {
-            ShadowQueue &s = shadow_[fn][q];
-            if (!s.ready || s.epoch != epoch)
-                return; // reset or crash recovery raced with the sync
-            if (!dma_.lastDelivered()) {
-                // The mirror copy never landed (DmaFail drop or
-                // exhausted ECRC replay): the shadow bounce still
-                // holds stale bytes, and the shadow descriptors for
-                // these heads describe data that was never written.
-                // Publishing would hand the backend zero-filled
-                // headers it would happily complete OK — a silently
-                // corrupted acknowledgement. Leave the burst
-                // unpublished and pin the blame on this function so
-                // the engine's error/integrity handler (which runs
-                // right after this callback) resets *us*, not
-                // whichever function touched the datapath last.
-                lastActiveFn_ = int(fn);
-                return;
-            }
-            for (std::uint16_t head : heads) {
-                s.shadowLayout.setAvailRing(
-                    *baseMem_, s.shadowAvail % s.shadowLayout.size(),
-                    head);
-                auto ci = s.inflight.find(head);
-                if (ci != s.inflight.end()) {
-                    ci->second.availPos = s.shadowAvail;
-                    ci->second.published = true;
-                }
-                ++s.shadowAvail;
-                if (s.reqTracer)
-                    s.reqTracer->stamp(
-                        obs::RequestTracer::flowKey(fn, q, head),
-                        obs::Stage::ShadowSync, curTick());
-            }
-            s.shadowLayout.setAvailIdx(*baseMem_, s.shadowAvail);
-            chains_.inc(heads.size());
-            if (flight_)
-                flight_->record(curTick(),
-                                obs::FlightEvent::AvailSync, fn, q,
-                                heads.size(), s.shadowAvail);
-            trace(name() + ": burst of " +
-                  std::to_string(heads.size()) +
-                  " chains published on shadow vring, head " +
-                  "register -> " + std::to_string(s.shadowAvail));
-            // Resync sweeps (storm throttle, link flap, recovery)
-            // publish work without a fresh doorbell; wake here too
-            // so swept-up chains never wait on a sleeping core.
-            if (queueWake_)
-                queueWake_(fn, q);
-            else if (doorbellWake_)
-                doorbellWake_();
-        });
+    dma_.copyv(segs, [this, fn, q, heads = std::move(heads),
+                      epoch = sq.epoch]() mutable {
+        publishBurst(fn, q, heads, epoch);
+        spareHeads_.push_back(std::move(heads));
+    });
     return picked;
+}
+
+void
+IoBond::publishBurst(unsigned fn, unsigned q,
+                     const std::vector<std::uint16_t> &heads,
+                     std::uint64_t epoch)
+{
+    ShadowQueue &s = shadow_[fn][q];
+    if (!s.ready || s.epoch != epoch)
+        return; // reset or crash recovery raced with the sync
+    if (!dma_.lastDelivered()) {
+        // The mirror copy never landed (DmaFail drop or
+        // exhausted ECRC replay): the shadow bounce still
+        // holds stale bytes, and the shadow descriptors for
+        // these heads describe data that was never written.
+        // Publishing would hand the backend zero-filled
+        // headers it would happily complete OK — a silently
+        // corrupted acknowledgement. Leave the burst
+        // unpublished and pin the blame on this function so
+        // the engine's error/integrity handler (which runs
+        // right after this callback) resets *us*, not
+        // whichever function touched the datapath last.
+        lastActiveFn_ = int(fn);
+        return;
+    }
+    for (std::uint16_t head : heads) {
+        s.shadowLayout.setAvailRing(
+            *baseMem_, s.shadowAvail % s.shadowLayout.size(),
+            head);
+        if (ChainShadow *cs = s.inflight.find(head)) {
+            cs->availPos = s.shadowAvail;
+            cs->published = true;
+        }
+        ++s.shadowAvail;
+        if (s.reqTracer)
+            s.reqTracer->stamp(
+                obs::RequestTracer::flowKey(fn, q, head),
+                obs::Stage::ShadowSync, curTick());
+    }
+    s.shadowLayout.setAvailIdx(*baseMem_, s.shadowAvail);
+    chains_.inc(heads.size());
+    if (flight_)
+        flight_->record(curTick(),
+                        obs::FlightEvent::AvailSync, fn, q,
+                        heads.size(), s.shadowAvail);
+    trace([&] {
+        return name() + ": burst of " +
+               std::to_string(heads.size()) +
+               " chains published on shadow vring, head " +
+               "register -> " + std::to_string(s.shadowAvail);
+    });
+    // Resync sweeps (storm throttle, link flap, recovery)
+    // publish work without a fresh doorbell; wake here too
+    // so swept-up chains never wait on a sleeping core.
+    if (queueWake_)
+        queueWake_(fn, q);
+    else if (doorbellWake_)
+        doorbellWake_();
 }
 
 bool
@@ -1094,7 +1134,8 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
 {
     ShadowQueue &sq = shadow_[fn][q];
     GuestMemory &gmem = board_.memory();
-    ChainWalk walk = walkDescChain(gmem, sq.guestLayout, head);
+    ChainWalk &walk = walk_;
+    walkDescChain(gmem, sq.guestLayout, head, walk);
 
     auto fail_chain = [&] {
         bad_.inc();
@@ -1132,18 +1173,37 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
         return fail_chain();
     }
 
-    ChainShadow cs;
+    Addr buf_block = PoolAllocator::nullAddr;
     if (total > 0) {
-        cs.bufBlock = pool_.alloc(total, 16);
-        if (cs.bufBlock == PoolAllocator::nullAddr) {
+        buf_block = pool_.alloc(total, 16);
+        if (buf_block == PoolAllocator::nullAddr) {
             warn(name(), ": shadow arena exhausted");
             return fail_chain();
         }
     }
+    Addr indirect_block = PoolAllocator::nullAddr;
+    if (walk.indirect) {
+        indirect_block =
+            pool_.alloc(Bytes(walk.indirectCount) * vringDescSize,
+                        16);
+        if (indirect_block == PoolAllocator::nullAddr) {
+            pool_.free(buf_block);
+            warn(name(), ": shadow arena exhausted (indirect)");
+            return fail_chain();
+        }
+    }
+
+    // Every allocation succeeded: the chain takes its head's slot
+    // in the in-flight table (reusing the slot's buffers).
+    ChainShadow &cs = sq.inflight.claim(head);
+    cs.bufBlock = buf_block;
+    cs.indirectBlock = indirect_block;
+    cs.availPos = 0;
+    cs.published = false;
 
     // Lay segments out back to back within the block; the
-    // device-readable ones join the burst's scatter-gather DMA
-    // once every allocation for this chain has succeeded.
+    // device-readable ones join the burst's scatter-gather DMA.
+    cs.segs.clear();
     Addr cursor = cs.bufBlock;
     for (const auto &s : walk.chain.segs) {
         cs.segs.push_back({s.addr, cursor, s.len, s.deviceWrites});
@@ -1153,14 +1213,6 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
     // Materialize shadow descriptors.
     std::uint16_t desc_count = 0;
     if (walk.indirect) {
-        cs.indirectBlock =
-            pool_.alloc(Bytes(walk.indirectCount) * vringDescSize,
-                        16);
-        if (cs.indirectBlock == PoolAllocator::nullAddr) {
-            pool_.free(cs.bufBlock);
-            warn(name(), ": shadow arena exhausted (indirect)");
-            return fail_chain();
-        }
         for (std::uint16_t i = 0; i < walk.indirectCount; ++i) {
             const auto &seg = cs.segs[i];
             Addr a = cs.indirectBlock + Addr(i) * vringDescSize;
@@ -1184,6 +1236,7 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
         d.next = 0;
         sq.shadowLayout.writeDesc(*baseMem_, head, d);
         desc_count = std::uint16_t(walk.indirectCount + 1);
+        cs.path.clear();
     } else {
         for (std::size_t i = 0; i < walk.path.size(); ++i) {
             const auto &seg = cs.segs[i];
@@ -1198,12 +1251,12 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
             sq.shadowLayout.writeDesc(*baseMem_, walk.path[i], d);
         }
         desc_count = std::uint16_t(walk.path.size());
-        cs.path = walk.path;
+        cs.path.assign(walk.path.begin(), walk.path.end());
     }
 
-    // Everything allocated: the chain joins the burst. Payload
-    // copies and the per-chain ring metadata (descriptor reads +
-    // avail-ring entry) accumulate into the caller's transfer.
+    // The chain joins the burst. Payload copies and the per-chain
+    // ring metadata (descriptor reads + avail-ring entry)
+    // accumulate into the caller's transfer.
     for (const auto &seg : cs.segs) {
         if (!seg.write && seg.len > 0)
             segs.push_back(DmaEngine::CopySeg{
@@ -1213,14 +1266,13 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
     meta += Bytes(desc_count) * vringDescSize + 2;
 
     cs.seq = sq.nextSeq++;
-    sq.inflight[head] = std::move(cs);
 
     // A DmaCorruptMeta armed while no chain was live lands in the
     // freshly-written descriptors; the scrubber (armed below) is
     // what must catch it.
     if (metaCorruptBudget_ > 0) {
         --metaCorruptBudget_;
-        corruptShadowMeta(sq, head, sq.inflight[head]);
+        corruptShadowMeta(sq, head, cs);
     }
     if (integrity_)
         scheduleScrub();
@@ -1252,19 +1304,20 @@ IoBond::backendCompleted(unsigned fn, unsigned q)
     // the used elements into one scatter-gather DMA, and decide on
     // one MSI when it lands (interrupt moderation: the hardware
     // raises it after the last DMA).
-    std::vector<ReturnedChain> batch;
-    std::vector<DmaEngine::CopySeg> segs;
+    std::vector<ReturnedChain> batch = takeSpare(spareBatches_);
+    std::vector<DmaEngine::CopySeg> &segs = segScratch_;
+    segs.clear();
     while (sq.syncedUsed != sused) {
         VringUsedElem elem = sq.shadowLayout.usedRing(
             *baseMem_, sq.syncedUsed % sq.shadowLayout.size());
         ++sq.syncedUsed;
-        auto it = sq.inflight.find(std::uint16_t(elem.id));
-        if (it == sq.inflight.end()) {
+        ChainShadow *found = sq.inflight.find(std::uint16_t(elem.id));
+        if (found == nullptr) {
             warn(name(), ": backend completed unknown head ",
                  elem.id);
             continue;
         }
-        ChainShadow &cs = it->second;
+        ChainShadow &cs = *found;
         // Device-written data flows back to guest memory — only
         // the bytes the used element reports, not whole buffers.
         Bytes budget = elem.len;
@@ -1280,97 +1333,108 @@ IoBond::backendCompleted(unsigned fn, unsigned q)
             budget -= n;
         }
         batch.push_back({elem, cs.bufBlock, cs.indirectBlock});
-        sq.inflight.erase(it);
+        sq.inflight.erase(cs);
     }
-    if (batch.empty())
+    if (batch.empty()) {
+        spareBatches_.push_back(std::move(batch));
         return;
+    }
 
     // The used elements follow the data; on arrival the guest ring
     // is updated once, shadow resources are freed, and the MSI
     // fires.
     segs.push_back(DmaEngine::CopySeg{nullptr, 0, nullptr, 0,
                                       Bytes(batch.size()) * 8});
-    std::uint64_t epoch = sq.epoch;
-    dma_.copyv(
-        std::move(segs),
-        [this, fn, q, batch = std::move(batch), epoch] {
-            ShadowQueue &s = shadow_[fn][q];
-            GuestMemory &gm = board_.memory();
-            // The chains left `inflight` above, so a racing reset
-            // did not free their blocks; always release them here.
-            for (const auto &r : batch) {
-                if (r.bufBlock != PoolAllocator::nullAddr)
-                    pool_.free(r.bufBlock);
-                if (r.indirectBlock != PoolAllocator::nullAddr)
-                    pool_.free(r.indirectBlock);
-            }
-            if (s.epoch != epoch)
-                return; // function reset/re-init while in flight
-            if (!dma_.lastDelivered()) {
-                // The completion copy never landed: device-written
-                // payloads (read data, RX frames) are still only in
-                // the shadow bounce, so the guest buffers hold
-                // stale bytes. Pushing these used elements would
-                // present them as fresh completions. Drop the batch
-                // unpublished and pin the blame here — the engine's
-                // handler resets this function and the guest driver
-                // re-issues everything that was in flight.
-                lastActiveFn_ = int(fn);
-                return;
-            }
-            std::uint16_t before = s.guestUsed;
-            for (const auto &r : batch) {
-                s.guestLayout.setUsedRing(
-                    gm, s.guestUsed % s.guestLayout.size(), r.elem);
-                ++s.guestUsed;
-                if (s.reqTracer)
-                    s.reqTracer->stamp(
-                        obs::RequestTracer::flowKey(
-                            fn, q, std::uint16_t(r.elem.id)),
-                        obs::Stage::CompleteDma, curTick());
-            }
-            s.guestLayout.setUsedIdx(gm, s.guestUsed);
-            completions_.inc(batch.size());
-            if (flight_)
-                flight_->record(curTick(),
-                                obs::FlightEvent::UsedPublish, fn,
-                                q, batch.size(), s.guestUsed);
-            trace(name() + ": batch of " +
-                  std::to_string(batch.size()) +
-                  " completions returned to guest");
-            // Respect the driver's interrupt suppression: flag bit
-            // in classic mode, used_event crossing anywhere inside
-            // the batch span with F_EVENT_IDX (all arithmetic
-            // modulo 2^16 — the span straddles the index wrap).
-            bool wants;
-            if (functions_[fn]->featureNegotiated(
-                    VIRTIO_RING_F_EVENT_IDX)) {
-                wants = vringNeedEvent(
-                    s.guestLayout.usedEvent(gm), s.guestUsed,
-                    before);
-            } else {
-                wants = !(s.guestLayout.availFlags(gm) &
-                          VRING_AVAIL_F_NO_INTERRUPT);
-            }
-            if (wants)
-                s.irqPending = true;
-            if (s.irqPending) {
-                s.irqPending = false;
-                // The MSI closes the batch; only its final chain's
-                // flow completes end-to-end (interrupt moderation).
-                if (s.reqTracer)
-                    s.reqTracer->stamp(
-                        obs::RequestTracer::flowKey(
-                            fn, q,
-                            std::uint16_t(batch.back().elem.id)),
-                        obs::Stage::GuestIrq, curTick());
-                if (flight_)
-                    flight_->record(curTick(),
-                                    obs::FlightEvent::Msi, fn, q,
-                                    batch.back().elem.id);
-                functions_[fn]->notifyGuest(q);
-            }
-        });
+    dma_.copyv(segs, [this, fn, q, batch = std::move(batch),
+                      epoch = sq.epoch]() mutable {
+        returnBatch(fn, q, batch, epoch);
+        spareBatches_.push_back(std::move(batch));
+    });
+}
+
+void
+IoBond::returnBatch(unsigned fn, unsigned q,
+                    const std::vector<ReturnedChain> &batch,
+                    std::uint64_t epoch)
+{
+    ShadowQueue &s = shadow_[fn][q];
+    GuestMemory &gm = board_.memory();
+    // The chains left `inflight` in backendCompleted, so a racing
+    // reset did not free their blocks; always release them here.
+    for (const auto &r : batch) {
+        if (r.bufBlock != PoolAllocator::nullAddr)
+            pool_.free(r.bufBlock);
+        if (r.indirectBlock != PoolAllocator::nullAddr)
+            pool_.free(r.indirectBlock);
+    }
+    if (s.epoch != epoch)
+        return; // function reset/re-init while in flight
+    if (!dma_.lastDelivered()) {
+        // The completion copy never landed: device-written
+        // payloads (read data, RX frames) are still only in
+        // the shadow bounce, so the guest buffers hold
+        // stale bytes. Pushing these used elements would
+        // present them as fresh completions. Drop the batch
+        // unpublished and pin the blame here — the engine's
+        // handler resets this function and the guest driver
+        // re-issues everything that was in flight.
+        lastActiveFn_ = int(fn);
+        return;
+    }
+    std::uint16_t before = s.guestUsed;
+    for (const auto &r : batch) {
+        s.guestLayout.setUsedRing(
+            gm, s.guestUsed % s.guestLayout.size(), r.elem);
+        ++s.guestUsed;
+        if (s.reqTracer)
+            s.reqTracer->stamp(
+                obs::RequestTracer::flowKey(
+                    fn, q, std::uint16_t(r.elem.id)),
+                obs::Stage::CompleteDma, curTick());
+    }
+    s.guestLayout.setUsedIdx(gm, s.guestUsed);
+    completions_.inc(batch.size());
+    if (flight_)
+        flight_->record(curTick(),
+                        obs::FlightEvent::UsedPublish, fn,
+                        q, batch.size(), s.guestUsed);
+    trace([&] {
+        return name() + ": batch of " +
+               std::to_string(batch.size()) +
+               " completions returned to guest";
+    });
+    // Respect the driver's interrupt suppression: flag bit
+    // in classic mode, used_event crossing anywhere inside
+    // the batch span with F_EVENT_IDX (all arithmetic
+    // modulo 2^16 — the span straddles the index wrap).
+    bool wants;
+    if (functions_[fn]->featureNegotiated(
+            VIRTIO_RING_F_EVENT_IDX)) {
+        wants = vringNeedEvent(
+            s.guestLayout.usedEvent(gm), s.guestUsed,
+            before);
+    } else {
+        wants = !(s.guestLayout.availFlags(gm) &
+                  VRING_AVAIL_F_NO_INTERRUPT);
+    }
+    if (wants)
+        s.irqPending = true;
+    if (s.irqPending) {
+        s.irqPending = false;
+        // The MSI closes the batch; only its final chain's
+        // flow completes end-to-end (interrupt moderation).
+        if (s.reqTracer)
+            s.reqTracer->stamp(
+                obs::RequestTracer::flowKey(
+                    fn, q,
+                    std::uint16_t(batch.back().elem.id)),
+                obs::Stage::GuestIrq, curTick());
+        if (flight_)
+            flight_->record(curTick(),
+                            obs::FlightEvent::Msi, fn, q,
+                            batch.back().elem.id);
+        functions_[fn]->notifyGuest(q);
+    }
 }
 
 unsigned
@@ -1394,8 +1458,9 @@ IoBond::recoverQueue(unsigned fn, unsigned q)
     std::uint16_t window =
         std::uint16_t(sq.shadowAvail - sq.syncedUsed);
     std::vector<std::pair<std::uint64_t, std::uint16_t>> order;
-    for (const auto &[head, cs] : sq.inflight)
+    sq.inflight.forEach([&](std::uint16_t head, const ChainShadow &cs) {
         order.emplace_back(cs.seq, head);
+    });
     std::sort(order.begin(), order.end());
     if (order.size() < window) {
         warn(name(), ": recovery found ", order.size(),
@@ -1407,24 +1472,19 @@ IoBond::recoverQueue(unsigned fn, unsigned q)
         sq.shadowLayout.setAvailRing(
             *baseMem_, pos % sq.shadowLayout.size(),
             order[i].second);
-        ChainShadow &cs = sq.inflight.at(order[i].second);
+        ChainShadow &cs = *sq.inflight.find(order[i].second);
         cs.availPos = pos;
         cs.published = true;
     }
     sq.shadowLayout.setAvailIdx(*baseMem_, sq.shadowAvail);
     if (window > 0)
         faultRecovered_.inc(window);
-    trace(name() + ": recovered fn=" + std::to_string(fn) +
-          " q=" + std::to_string(q) + ", " +
-          std::to_string(window) + " chains republished");
+    trace([&] {
+        return name() + ": recovered fn=" + std::to_string(fn) +
+               " q=" + std::to_string(q) + ", " +
+               std::to_string(window) + " chains republished";
+    });
     return window;
-}
-
-void
-IoBond::trace(const std::string &msg)
-{
-    if (tracer_)
-        tracer_(msg);
 }
 
 } // namespace iobond

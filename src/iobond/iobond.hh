@@ -31,7 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -474,6 +473,79 @@ class IoBond : public SimObject
          *  inflight entries with ring positions. */
         std::uint16_t availPos = 0;
         bool published = false;
+        /** Slot holds an in-flight chain (InflightTable). */
+        bool live = false;
+    };
+
+    /**
+     * In-flight chains of one queue, indexed by descriptor head.
+     * Lookups are O(1); a slot keeps its segment and path buffers
+     * after the chain completes, so mirroring the next chain at
+     * that head does not allocate; iteration visits live chains in
+     * ascending head order, the order the scrubber, rebase and
+     * crash-recovery replay have always walked. Sized to the ring
+     * when the queue comes up (grow-only across renegotiation).
+     */
+    class InflightTable
+    {
+      public:
+        void
+        reserveRing(std::size_t ring)
+        {
+            if (slots_.size() < ring)
+                slots_.resize(ring);
+        }
+
+        std::size_t size() const { return live_; }
+
+        ChainShadow *
+        find(std::uint16_t head)
+        {
+            if (head >= slots_.size() || !slots_[head].live)
+                return nullptr;
+            return &slots_[head];
+        }
+
+        /** Claim @p head's slot (replacing any stale chain there);
+         *  the caller overwrites every field. */
+        ChainShadow &
+        claim(std::uint16_t head)
+        {
+            ChainShadow &cs = slots_.at(head);
+            if (!cs.live)
+                ++live_;
+            cs.live = true;
+            return cs;
+        }
+
+        void
+        erase(ChainShadow &cs)
+        {
+            cs.live = false;
+            --live_;
+        }
+
+        void
+        clear()
+        {
+            for (auto &cs : slots_)
+                cs.live = false;
+            live_ = 0;
+        }
+
+        /** @p fn(head, chain) for every live chain, by head. */
+        template <typename Fn>
+        void
+        forEach(Fn &&fn)
+        {
+            for (std::size_t h = 0; h < slots_.size(); ++h)
+                if (slots_[h].live)
+                    fn(std::uint16_t(h), slots_[h]);
+        }
+
+      private:
+        std::vector<ChainShadow> slots_;
+        std::size_t live_ = 0;
     };
 
     /** One completed chain travelling back to the guest as part of
@@ -511,7 +583,7 @@ class IoBond : public SimObject
          *  corrupted shadow metadata on this queue. */
         unsigned scrubStrikes = 0;
         obs::RequestTracer *reqTracer = nullptr;
-        std::map<std::uint16_t, ChainShadow> inflight;
+        InflightTable inflight;
     };
 
     /** Front-end hooks. */
@@ -532,6 +604,16 @@ class IoBond : public SimObject
     bool mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
                      std::vector<DmaEngine::CopySeg> &segs,
                      Bytes &meta);
+    /** A sync burst's DMA landed: publish @p heads on the shadow
+     *  vring of (fn, q) unless the queue moved to a new epoch. */
+    void publishBurst(unsigned fn, unsigned q,
+                      const std::vector<std::uint16_t> &heads,
+                      std::uint64_t epoch);
+    /** A completion batch's DMA landed: release its shadow blocks,
+     *  publish the used elements to the guest, maybe raise MSI. */
+    void returnBatch(unsigned fn, unsigned q,
+                     const std::vector<ReturnedChain> &batch,
+                     std::uint64_t epoch);
 
     /** Fault hook: link flaps, dropped doorbells, function death. */
     bool injectFault(const fault::FaultSpec &spec);
@@ -559,7 +641,29 @@ class IoBond : public SimObject
     /** Count + trace + escalate one contained guest fault. */
     void guestFault(fault::GuestFaultKind k);
 
-    void trace(const std::string &msg);
+    /** Hand the message @p make() builds to the tracer; with no
+     *  tracer attached nothing is built. */
+    template <typename MakeMsg>
+    void
+    trace(MakeMsg &&make)
+    {
+        if (tracer_)
+            tracer_(make());
+    }
+
+    /** An empty vector from @p spares (capacity kept), for state a
+     *  DMA completion carries; the completion hands it back. */
+    template <typename T>
+    static std::vector<T>
+    takeSpare(std::vector<std::vector<T>> &spares)
+    {
+        if (spares.empty())
+            return {};
+        std::vector<T> v = std::move(spares.back());
+        spares.pop_back();
+        v.clear();
+        return v;
+    }
 
     hw::ComputeBoard &board_;
     /** Pointer, not reference: rebase() re-homes the bond onto a
@@ -572,6 +676,14 @@ class IoBond : public SimObject
     std::vector<std::unique_ptr<IoBondFunction>> functions_;
     /** [fn][q] shadow state. */
     std::vector<std::vector<ShadowQueue>> shadow_;
+    /** Per-burst scratch, reused: the chain walk and the burst's
+     *  scatter-gather list (copied into the DMA engine). */
+    virtio::ChainWalk walk_;
+    std::vector<DmaEngine::CopySeg> segScratch_;
+    /** Recycled buffers of in-flight sync bursts / completion
+     *  batches (see takeSpare). */
+    std::vector<std::vector<std::uint16_t>> spareHeads_;
+    std::vector<std::vector<ReturnedChain>> spareBatches_;
     /**
      * Doorbell-storm throttle, one bucket per *function* (armed at
      * driver-ready): the budget covers the sum of a function's

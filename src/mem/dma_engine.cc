@@ -67,42 +67,37 @@ void
 DmaEngine::copy(const GuestMemory &src, Addr src_addr, GuestMemory &dst,
                 Addr dst_addr, Bytes len, Callback done)
 {
-    Transfer t;
-    t.segs.push_back(CopySeg{&src, src_addr, &dst, dst_addr, len});
-    t.len = len;
-    t.done = std::move(done);
-    enqueue(std::move(t));
+    enqueue({CopySeg{&src, src_addr, &dst, dst_addr, len}},
+            std::move(done));
 }
 
 void
 DmaEngine::accountOnly(Bytes len, Callback done)
 {
-    Transfer t;
-    t.segs.push_back(CopySeg{nullptr, 0, nullptr, 0, len});
-    t.len = len;
-    t.done = std::move(done);
-    enqueue(std::move(t));
+    enqueue({CopySeg{nullptr, 0, nullptr, 0, len}}, std::move(done));
 }
 
 void
-DmaEngine::copyv(std::vector<CopySeg> segs, Callback done)
+DmaEngine::copyv(ListView<CopySeg> segs, Callback done)
 {
     panic_if(segs.empty(), "empty scatter-gather transfer");
-    Transfer t;
-    t.segs = std::move(segs);
-    for (const auto &s : t.segs)
-        t.len += s.len;
-    t.done = std::move(done);
-    enqueue(std::move(t));
+    enqueue(segs, std::move(done));
 }
 
 void
-DmaEngine::enqueue(Transfer t)
+DmaEngine::enqueue(ListView<CopySeg> segs, Callback done)
 {
+    Transfer &t = queue_.emplaceBack();
+    t.segs.assign(segs.begin(), segs.end());
+    t.len = 0;
+    for (const auto &s : segs)
+        t.len += s.len;
+    t.done = std::move(done);
+    t.retries = 0;
+    t.firstDetect = 0;
     if (flight_)
         flight_->record(curTick(), obs::FlightEvent::CopyvSubmit, 0,
                         0, t.segs.size(), t.len);
-    queue_.push_back(std::move(t));
     queueDepth_.set(double(queue_.size()));
     // Submissions from a completion callback queue behind the
     // unwinding completion; it resumes the engine itself.
@@ -204,11 +199,22 @@ DmaEngine::landStaged(const std::vector<CopySeg> &segs,
 }
 
 void
+DmaEngine::runDone(Transfer &t)
+{
+    Callback done = std::move(t.done);
+    if (done)
+        done();
+}
+
+void
 DmaEngine::complete()
 {
     panic_if(queue_.empty(), "DMA completion with empty queue");
     inCompletion_ = true;
-    Transfer t = std::move(queue_.front());
+    // Swap, not move: the vacated queue slot inherits the previous
+    // active transfer's segment buffer for a later submission.
+    Transfer &t = active_;
+    std::swap(t, queue_.front());
     queue_.pop_front();
     queueDepth_.set(double(queue_.size()));
     busy_ = false;
@@ -266,10 +272,9 @@ DmaEngine::complete()
             // retries before anything younger), re-reading a clean
             // source. The transfer pays startup + bandwidth again,
             // so the healed latency is SLO-visible.
-            Transfer retry = std::move(t);
-            if (retry.retries++ == 0)
-                retry.firstDetect = curTick();
-            queue_.push_front(std::move(retry));
+            if (t.retries++ == 0)
+                t.firstDetect = curTick();
+            std::swap(t, queue_.emplaceFront());
             queueDepth_.set(double(queue_.size()));
             inCompletion_ = false;
             if (!busy_ && !queue_.empty())
@@ -286,8 +291,7 @@ DmaEngine::complete()
                             obs::FlightEvent::IntegrityEscalate, 0,
                             0, t.retries, t.len);
         lastDelivered_ = false;
-        if (t.done)
-            t.done();
+        runDone(t);
         if (integrityHandler_)
             integrityHandler_();
         else if (errorHandler_)
@@ -314,8 +318,7 @@ DmaEngine::complete()
     // issued from `done` cannot begin before the error handler has
     // seen this transfer fail.
     lastDelivered_ = !failed;
-    if (t.done)
-        t.done();
+    runDone(t);
     if (failed && errorHandler_)
         errorHandler_();
     inCompletion_ = false;

@@ -13,11 +13,12 @@
 #ifndef BMHIVE_MEM_DMA_ENGINE_HH
 #define BMHIVE_MEM_DMA_ENGINE_HH
 
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "base/inline_function.hh"
+#include "base/list_view.hh"
+#include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "mem/guest_memory.hh"
@@ -41,7 +42,9 @@ namespace bmhive {
 class DmaEngine : public SimObject
 {
   public:
-    using Callback = std::function<void()>;
+    /** Completion callback; captures up to 64 bytes (a vector
+     *  plus a few indices) are stored without a heap allocation. */
+    using Callback = InlineFunction<64>;
 
     /**
      * One scatter-gather segment. @c src may be null for an
@@ -86,9 +89,11 @@ class DmaEngine : public SimObject
      * length, one completion callback when all segments have
      * landed. An injected fault (fail/corrupt) applies to the
      * whole transfer, matching real descriptors that complete or
-     * abort as a unit.
+     * abort as a unit. The segments are copied into the engine's
+     * recycled transfer slots, so the caller keeps (and may reuse)
+     * its list.
      */
-    void copyv(std::vector<CopySeg> segs, Callback done);
+    void copyv(ListView<CopySeg> segs, Callback done);
 
     Bandwidth bandwidth() const { return bandwidth_; }
     bool busy() const { return busy_; }
@@ -171,13 +176,15 @@ class DmaEngine : public SimObject
         Tick firstDetect = 0;
     };
 
-    /** Queue a transfer; starts it unless serialized behind
-     *  in-flight work or a completion still unwinding. */
-    void enqueue(Transfer t);
+    /** Queue a transfer of @p segs; starts it unless serialized
+     *  behind in-flight work or a completion still unwinding. */
+    void enqueue(ListView<CopySeg> segs, Callback done);
     /** Start the transfer at the queue head. */
     void startNext();
     /** Finish the in-flight transfer. */
     void complete();
+    /** Run (and then destroy) @p t's completion callback. */
+    static void runDone(Transfer &t);
     /** True iff one GuestMemory is a source and a destination of
      *  the same transfer, so segment order could be observed. */
     static bool sharesMemory(const std::vector<CopySeg> &segs);
@@ -192,7 +199,12 @@ class DmaEngine : public SimObject
 
     Bandwidth bandwidth_;
     Tick startup_;
-    std::deque<Transfer> queue_;
+    /** Queued transfers; slots (and their segment buffers) are
+     *  recycled, so steady-state submission does not allocate. */
+    RingQueue<Transfer> queue_;
+    /** The transfer completing right now, swapped out of the
+     *  queue head so callbacks may enqueue freely. */
+    Transfer active_;
     bool busy_ = false;
     /** A completion is unwinding: submissions from its callbacks
      *  must queue, not start, so the error handler always observes

@@ -64,7 +64,7 @@ RequestTracer::stamp(std::uint64_t key, Stage s, Tick now)
         f.last = Stage::GuestPost;
         f.seq = ++seq_;
         open_[key] = f;
-        order_.emplace_back(key, f.seq);
+        order_.push_back({key, f.seq});
         started_->inc();
         enforceBound();
         if (sink_ && sink_->enabled())
@@ -73,14 +73,14 @@ RequestTracer::stamp(std::uint64_t key, Stage s, Tick now)
         return;
     }
 
-    auto it = open_.find(key);
-    if (it == open_.end()) {
+    OpenFlow *found = open_.find(key);
+    if (found == nullptr) {
         // Backend-initiated work (rx delivery) or a flow opened
         // before tracing was enabled: not an error, just unmatched.
         unmatched_->inc();
         return;
     }
-    OpenFlow &f = it->second;
+    OpenFlow &f = *found;
     Tick prev = f.at[unsigned(f.last)];
     panic_if(now < prev, path_, ": flow ", key, " stamped ",
              stageName(s), " before ", stageName(f.last));
@@ -103,7 +103,7 @@ RequestTracer::stamp(std::uint64_t key, Stage s, Tick now)
         recent_.push_back(rec);
         if (recent_.size() > recentCap)
             recent_.pop_front();
-        open_.erase(it);
+        open_.erase(key);
         if (closeHook_)
             closeHook_(e2e, now);
     }
@@ -115,12 +115,12 @@ RequestTracer::enforceBound()
     while (open_.size() > maxOpen_ && !order_.empty()) {
         auto [key, seq] = order_.front();
         order_.pop_front();
-        auto it = open_.find(key);
+        const OpenFlow *f = open_.find(key);
         // Stale entry: the flow closed, was dropped, or the key was
         // reopened under a newer seq. Nothing to evict for it.
-        if (it == open_.end() || it->second.seq != seq)
+        if (f == nullptr || f->seq != seq)
             continue;
-        open_.erase(it);
+        open_.erase(key);
         evicted_->inc();
         evictedGlobal_->inc();
     }
@@ -130,13 +130,14 @@ RequestTracer::enforceBound()
     // Compact once they outnumber live flows by a full table —
     // amortized O(1) per open.
     if (order_.size() > open_.size() + maxOpen_) {
-        std::deque<std::pair<std::uint64_t, std::uint64_t>> live;
-        for (const auto &[key, seq] : order_) {
-            auto it = open_.find(key);
-            if (it != open_.end() && it->second.seq == seq)
-                live.emplace_back(key, seq);
+        RingQueue<std::pair<std::uint64_t, std::uint64_t>> live;
+        for (std::size_t i = 0; i < order_.size(); ++i) {
+            auto [key, seq] = order_[i];
+            const OpenFlow *f = open_.find(key);
+            if (f != nullptr && f->seq == seq)
+                live.push_back({key, seq});
         }
-        order_.swap(live);
+        order_ = std::move(live);
     }
 }
 
@@ -144,11 +145,10 @@ void
 RequestTracer::dropOpen(unsigned fn, unsigned q)
 {
     std::uint64_t prefix = flowKey(fn, q, 0);
-    auto it = open_.lower_bound(prefix);
-    while (it != open_.end() && (it->first & ~0xffffull) == prefix) {
-        it = open_.erase(it);
-        aborted_->inc();
-    }
+    aborted_->inc(open_.eraseIf([prefix](std::uint64_t key,
+                                         const OpenFlow &) {
+        return (key & ~0xffffull) == prefix;
+    }));
     // order_ entries for the dropped keys go stale and are popped
     // lazily by enforceBound().
 }

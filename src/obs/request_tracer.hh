@@ -30,11 +30,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <string>
 
+#include "base/flat_map.hh"
+#include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "obs/metric_registry.hh"
@@ -140,7 +140,7 @@ class RequestTracer
     std::size_t openFlows() const { return open_.size(); }
 
     /** Most recently completed flows, newest last (capped). */
-    const std::deque<FlowRecord> &recent() const { return recent_; }
+    const RingQueue<FlowRecord> &recent() const { return recent_; }
 
     const std::string &path() const { return path_; }
 
@@ -178,13 +178,15 @@ class RequestTracer
     Counter *evicted_;       ///< "<path>.flows.evicted"
     Counter *aborted_;       ///< "<path>.flows.aborted"
     Counter *evictedGlobal_; ///< registry-wide "obs.tracer.evicted_flows"
-    std::map<std::uint64_t, OpenFlow> open_;
+    /** Open flows by key. Flat, so opening a flow in steady state
+     *  does not allocate. */
+    FlatU64Map<OpenFlow> open_;
     std::size_t maxOpen_ = defaultMaxOpen;
     std::uint64_t seq_ = 0;
     /** Insertion order as (key, seq); entries whose seq no longer
      *  matches open_ are stale and popped lazily. */
-    std::deque<std::pair<std::uint64_t, std::uint64_t>> order_;
-    std::deque<FlowRecord> recent_;
+    RingQueue<std::pair<std::uint64_t, std::uint64_t>> order_;
+    RingQueue<FlowRecord> recent_;
     CloseHook closeHook_;
 };
 

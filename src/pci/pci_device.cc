@@ -131,7 +131,7 @@ PciBus::deliverMsi(int slot, unsigned vec)
             if (msiHandler_)
                 msiHandler_(slot, vec);
         },
-        name() + ".msi");
+        {name(), ".msi"});
     scheduleIn(ev, msiLatency_);
 }
 

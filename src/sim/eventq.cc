@@ -10,6 +10,113 @@ Event::~Event()
              "event '", name(), "' destroyed while scheduled");
 }
 
+namespace {
+
+/**
+ * Per-thread free list of OneShotEvent storage. Trivially
+ * destructible so it stays usable while the thread (or, for the
+ * main thread, static destruction) tears down; OneShotPoolReaper
+ * returns the list to the heap at thread exit and closes it.
+ */
+struct OneShotPool
+{
+    struct Block
+    {
+        Block *next;
+    };
+    Block *head = nullptr;
+    std::size_t pooled = 0;
+    std::int64_t live = 0;
+    /** This thread's OneShotPoolReaper has been constructed. */
+    bool reaperArmed = false;
+    bool closed = false;
+};
+
+thread_local OneShotPool oneShotPool;
+
+/** Blocks kept per thread; beyond this frees go to the heap, so a
+ *  thread that frees more events than it allocates (a partition
+ *  worker processing mailbox deliveries) stays bounded. */
+constexpr std::size_t oneShotPoolCap = 4096;
+
+struct OneShotPoolReaper
+{
+    ~OneShotPoolReaper()
+    {
+        OneShotPool &p = oneShotPool;
+        while (p.head) {
+            auto *b = p.head;
+            p.head = b->next;
+            ::operator delete(b);
+        }
+        p.pooled = 0;
+        p.closed = true;
+    }
+};
+
+thread_local OneShotPoolReaper oneShotPoolReaper;
+
+} // namespace
+
+void *
+OneShotEvent::operator new(std::size_t size)
+{
+    OneShotPool &p = oneShotPool;
+    ++p.live;
+    if (size == sizeof(OneShotEvent) && p.head) {
+        auto *b = p.head;
+        p.head = b->next;
+        --p.pooled;
+        return b;
+    }
+    return ::operator new(size);
+}
+
+void
+OneShotEvent::operator delete(void *ptr, std::size_t size)
+{
+    OneShotPool &p = oneShotPool;
+    --p.live;
+    if (size != sizeof(OneShotEvent) || p.closed ||
+        p.pooled >= oneShotPoolCap) {
+        ::operator delete(ptr);
+        return;
+    }
+    // The first block pooled on this thread constructs the reaper
+    // (odr-using it), so the list is returned at thread exit.
+    if (!p.reaperArmed) {
+        p.reaperArmed = true;
+        (void)&oneShotPoolReaper;
+    }
+    auto *b = static_cast<OneShotPool::Block *>(ptr);
+    b->next = p.head;
+    p.head = b;
+    ++p.pooled;
+}
+
+std::int64_t
+OneShotEvent::live()
+{
+    return oneShotPool.live;
+}
+
+EventQueue::~EventQueue()
+{
+    // Collect first: destroying a callable may run arbitrary
+    // destructors, which must not observe a half-walked heap.
+    std::vector<Event *> owned;
+    for (const Entry &e : heap_)
+        if (!staleSeqs_.count(e.seq) && e.ev->queueOwned_)
+            owned.push_back(e.ev);
+    heap_.clear();
+    staleSeqs_.clear();
+    for (Event *ev : owned) {
+        ev->scheduled_ = false;
+        ev->queue_ = nullptr;
+        delete ev;
+    }
+}
+
 void
 EventQueue::schedule(Event *ev, Tick when)
 {

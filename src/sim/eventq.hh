@@ -18,6 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "base/inline_function.hh"
 #include "base/units.hh"
 
 namespace bmhive {
@@ -34,7 +35,9 @@ class EventQueue;
  * descheduled, an event may be destroyed immediately: the queue
  * identifies its stale heap entry by sequence number and never
  * touches the event pointer again (this is what lets a demoted
- * passthrough poller be torn down mid-simulation).
+ * passthrough poller be torn down mid-simulation). OneShotEvent is
+ * the exception: it owns itself, and its queue owns it while it is
+ * scheduled.
  */
 class Event
 {
@@ -64,6 +67,11 @@ class Event
     Tick when() const { return when_; }
     Priority priority() const { return priority_; }
 
+  protected:
+    /** The event deletes itself after process(); a queue destroyed
+     *  while holding it deletes it instead (OneShotEvent). */
+    void markQueueOwned() { queueOwned_ = true; }
+
   private:
     friend class EventQueue;
 
@@ -71,6 +79,7 @@ class Event
     Priority priority_;
     std::uint64_t sequence_ = 0;
     bool scheduled_ = false;
+    bool queueOwned_ = false;
     /** Queue holding this event while scheduled. Partitioned
      *  simulations have one queue per partition; descheduling
      *  through the wrong one would corrupt that queue's stale-entry
@@ -95,31 +104,79 @@ class EventFunctionWrapper : public Event
 };
 
 /**
+ * Name of a one-shot event: a static label, optionally appended to
+ * its owner's name ("server.guest0.cpu0" + ".work"). Only pointers
+ * are stored; the string is built when someone asks for it (panic
+ * messages), never on the hot path. The owner string must outlive
+ * the event; a SimObject's name() does whenever the object outlives
+ * its pending events, which their callbacks require anyway.
+ */
+struct EventLabel
+{
+    EventLabel(const char *label) : label(label) {}
+    EventLabel(const std::string &owner, const char *label)
+        : owner(&owner), label(label) {}
+    /** A temporary owner name would dangle. */
+    EventLabel(std::string &&, const char *) = delete;
+
+    std::string
+    str() const
+    {
+        return owner ? *owner + label : std::string(label);
+    }
+
+    const std::string *owner = nullptr;
+    const char *label;
+};
+
+/**
  * Fire-and-forget event: runs its callable once and deletes itself.
  * Use for asynchronous completions with no owner (e.g. in-flight
- * MSI messages). Must be heap-allocated.
+ * MSI messages). Must be heap-allocated with plain `new`.
+ *
+ * Allocation is cheap by construction: storage comes from a
+ * per-thread free list (never shared between simulation threads;
+ * an event freed on another thread than the one that allocated it
+ * simply joins the freeing thread's list), captures of up to
+ * inlineBytes live inside the event, and the name is an
+ * EventLabel. A one-shot still scheduled when its queue is
+ * destroyed is destroyed with it.
  */
 class OneShotEvent : public Event
 {
   public:
-    OneShotEvent(std::function<void()> fn, std::string name,
-                 Priority pri = defaultPri)
-        : Event(pri), fn_(std::move(fn)), name_(std::move(name)) {}
+    /** Captures up to this size (a 48-byte Packet plus a pointer
+     *  and an index) are stored without a heap allocation. */
+    static constexpr std::size_t inlineBytes = 64;
+
+    template <typename F>
+    OneShotEvent(F &&fn, EventLabel label, Priority pri = defaultPri)
+        : Event(pri), fn_(std::forward<F>(fn)), label_(label)
+    {
+        markQueueOwned();
+    }
 
     void
     process() override
     {
-        auto fn = std::move(fn_);
+        if (fn_)
+            fn_();
         delete this;
-        if (fn)
-            fn();
     }
 
-    std::string name() const override { return name_; }
+    std::string name() const override { return label_.str(); }
+
+    static void *operator new(std::size_t size);
+    static void operator delete(void *p, std::size_t size);
+
+    /** One-shots allocated minus one-shots freed on the calling
+     *  thread (leak checks in tests; may go negative on a thread
+     *  that frees events another thread allocated). */
+    static std::int64_t live();
 
   private:
-    std::function<void()> fn_;
-    std::string name_;
+    InlineFunction<inlineBytes> fn_;
+    EventLabel label_;
 };
 
 /**
@@ -139,6 +196,9 @@ class EventQueue
      */
     explicit EventQueue(std::uint64_t seqBase = 0)
         : nextSeq_(seqBase) {}
+
+    /** Destroys every still-scheduled one-shot event. */
+    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;

@@ -111,11 +111,18 @@ Coordinator::~Coordinator()
     cv_.notify_all();
     for (auto &w : workers_)
         w.join();
+    // Deliveries still buffered (a round cut short by a panic)
+    // were never scheduled; they belong to their messages.
+    for (auto &ob : outboxes_)
+        for (Msg &m : ob.msgs)
+            delete m.ev;
+    for (Msg &m : flushScratch_)
+        delete m.ev;
 }
 
 void
-Coordinator::post(unsigned dst, Tick when, std::function<void()> fn,
-                  Event::Priority pri, std::string what)
+Coordinator::post(unsigned dst, Tick when,
+                  std::unique_ptr<OneShotEvent> ev)
 {
     panic_if(dst >= queues_.size(), "post to unknown partition ",
              dst);
@@ -124,19 +131,19 @@ Coordinator::post(unsigned dst, Tick when, std::function<void()> fn,
         // Setup code, phase A control, or a same-partition send:
         // single-threaded with respect to the destination queue, so
         // a direct schedule is safe and deterministic.
-        auto *ev = new OneShotEvent(std::move(fn), std::move(what),
-                                    pri);
-        queue(dst).schedule(ev, when);
+        queue(dst).schedule(ev.get(), when);
+        ev.release();
         return;
     }
     panic_if(src == 0, "control partition posted cross-partition "
                        "during the parallel phase");
     Tick horizon = queue(src).curTick() + lookahead_;
-    panic_if(when < horizon, "cross-partition post '", what,
+    panic_if(when < horizon, "cross-partition post '", ev->name(),
              "' at ", when, " violates lookahead horizon ", horizon);
     Outbox &ob = outboxes_[src];
-    ob.msgs.push_back(Msg{when, pri, src, ob.nextSeq++, dst,
-                          std::move(fn), std::move(what)});
+    ob.msgs.push_back(
+        Msg{when, ev->priority(), src, ob.nextSeq++, dst, ev.get()});
+    ev.release();
 }
 
 void
@@ -274,12 +281,11 @@ Coordinator::flush()
                   return a.seq < b.seq;
               });
     for (auto &m : all) {
-        panic_if(m.when <= windowEnd_, "mailbox message '", m.what,
-                 "' lands at ", m.when, " inside the closed window "
-                 "ending ", windowEnd_);
-        auto *ev = new OneShotEvent(std::move(m.fn),
-                                    std::move(m.what), m.pri);
-        queue(m.dst).schedule(ev, m.when);
+        panic_if(m.when <= windowEnd_, "mailbox message '",
+                 m.ev->name(), "' lands at ", m.when,
+                 " inside the closed window ending ", windowEnd_);
+        queue(m.dst).schedule(m.ev, m.when);
+        m.ev = nullptr;
         ++messages_;
     }
     all.clear();

@@ -39,10 +39,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,8 +78,9 @@ struct Msg
     /** Per-source sequence number; (src, seq) is a total order. */
     std::uint64_t seq;
     unsigned dst;
-    std::function<void()> fn;
-    std::string what;
+    /** The delivery, built by the sender; owned by the message
+     *  until flush() schedules it. */
+    OneShotEvent *ev;
 };
 
 /**
@@ -117,14 +116,14 @@ class Coordinator
     Tick lookahead() const { return lookahead_; }
 
     /**
-     * Deliver @p fn in partition @p dst at tick @p when. Outside
+     * Deliver @p ev in partition @p dst at tick @p when. Outside
      * the parallel phase this schedules directly (single-threaded,
      * deterministic). From inside the parallel phase the send is
      * buffered in the executing partition's outbox and must respect
      * the lookahead contract: when >= sender's curTick + L.
      */
-    void post(unsigned dst, Tick when, std::function<void()> fn,
-              Event::Priority pri, std::string what);
+    void post(unsigned dst, Tick when,
+              std::unique_ptr<OneShotEvent> ev);
 
     /** Run the round loop until every queue is past @p limit. */
     void run(Tick limit);

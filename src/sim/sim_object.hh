@@ -164,19 +164,22 @@ class Simulation
      * the send buffers in the source partition's outbox and @p when
      * must respect the lookahead contract; everywhere else (and in
      * classic mode) it degenerates to scheduling a OneShotEvent.
+     * Either way the delivery is built here, as a one-shot from the
+     * sender's thread pool, and travels as that event.
      */
+    template <typename F>
     void
-    post(unsigned dst, Tick when, std::function<void()> fn,
+    post(unsigned dst, Tick when, F &&fn,
          Event::Priority pri = Event::defaultPri,
-         std::string what = "xpart")
+         EventLabel what = "xpart")
     {
+        std::unique_ptr<OneShotEvent> ev(
+            new OneShotEvent(std::forward<F>(fn), what, pri));
         if (psim_) {
-            psim_->post(dst, when, std::move(fn), pri,
-                        std::move(what));
+            psim_->post(dst, when, std::move(ev));
         } else {
-            auto *ev = new OneShotEvent(std::move(fn),
-                                        std::move(what), pri);
-            eventq_.schedule(ev, when);
+            eventq_.schedule(ev.get(), when);
+            ev.release();
         }
     }
 

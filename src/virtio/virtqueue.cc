@@ -53,8 +53,7 @@ VirtQueueDriver::indirectTable(std::uint16_t head) const
 }
 
 std::optional<std::uint16_t>
-VirtQueueDriver::submit(const std::vector<Segment> &out,
-                        const std::vector<Segment> &in,
+VirtQueueDriver::submit(SegmentList out, SegmentList in,
                         std::uint64_t cookie)
 {
     std::size_t total = out.size() + in.size();
@@ -67,13 +66,11 @@ VirtQueueDriver::submit(const std::vector<Segment> &out,
     if (use_indirect && total > maxIndirect)
         return std::nullopt;
 
-    // Allocate descriptors from the free list.
-    std::vector<std::uint16_t> ids(direct_needed);
-    for (auto &id : ids) {
-        id = freeList_.back();
-        freeList_.pop_back();
-    }
-    std::uint16_t head = ids[0];
+    // Allocate descriptors from the top of the free list: ids[k]
+    // is the k-th id popped. They leave the list once written.
+    const std::uint16_t *top = freeList_.data() + freeList_.size();
+    auto ids = [top](std::size_t k) { return *(top - 1 - k); };
+    std::uint16_t head = ids(0);
     cookies_[head] = cookie;
     chainLen_[head] = std::uint16_t(direct_needed);
 
@@ -115,10 +112,11 @@ VirtQueueDriver::submit(const std::vector<Segment> &out,
             d.flags = std::uint16_t(
                 (s.deviceWrites ? VRING_DESC_F_WRITE : 0) |
                 (i + 1 < total ? VRING_DESC_F_NEXT : 0));
-            d.next = std::uint16_t(i + 1 < total ? ids[i + 1] : 0);
-            layout_.writeDesc(mem_, ids[i], d);
+            d.next = std::uint16_t(i + 1 < total ? ids(i + 1) : 0);
+            layout_.writeDesc(mem_, ids(i), d);
         }
     }
+    freeList_.resize(freeList_.size() - direct_needed);
 
     // Publish on the available ring; idx wraps naturally at 2^16.
     layout_.setAvailRing(mem_, availIdx_ % layout_.size(), head);
@@ -161,10 +159,10 @@ VirtQueueDriver::freeChain(std::uint16_t head)
     return true;
 }
 
-std::vector<UsedCompletion>
-VirtQueueDriver::collectUsed()
+void
+VirtQueueDriver::collectUsed(std::vector<UsedCompletion> &done)
 {
-    std::vector<UsedCompletion> done;
+    done.clear();
     std::uint16_t used_idx = layout_.usedIdx(mem_);
     if (eventIdx_ && lastUsed_ != used_idx) {
         // Re-arm: interrupt us once anything beyond used_idx lands.
@@ -183,7 +181,6 @@ VirtQueueDriver::collectUsed()
             continue;
         done.push_back({head, e.len, cookies_[head]});
     }
-    return done;
 }
 
 bool
@@ -242,18 +239,21 @@ VirtQueueDevice::hasWork() const
     return layout_.availIdx(mem_) != lastAvail_;
 }
 
-ChainWalk
+void
 walkDescChain(const GuestMemory &mem, const VringLayout &layout,
-              std::uint16_t head)
+              std::uint16_t head, ChainWalk &w)
 {
     using fault::GuestFaultKind;
-    ChainWalk w;
+    w.ok = false;
     w.chain.head = head;
+    w.chain.segs.clear();
+    w.path.clear();
+    w.indirect = false;
+    w.indirectAddr = 0;
+    w.indirectCount = 0;
+    w.fault = GuestFaultKind::kCount;
 
-    auto fail = [&w](GuestFaultKind k) -> ChainWalk & {
-        w.fault = k;
-        return w;
-    };
+    auto fail = [&w](GuestFaultKind k) { w.fault = k; };
     // Every buffer segment — direct or from an indirect table — is
     // attacker-controlled: the address must fall inside guest
     // memory (with overflow checked), the length must be non-zero,
@@ -340,7 +340,7 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
                 idx = ind.next;
             }
             w.ok = true;
-            return w;
+            return;
         }
 
         GuestFaultKind k;
@@ -351,64 +351,68 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
 
         if (!(d.flags & VRING_DESC_F_NEXT)) {
             w.ok = true;
-            return w;
+            return;
         }
         id = d.next;
     }
 }
 
-std::optional<DescChain>
+const DescChain *
 VirtQueueDevice::pop()
 {
     if (!hasWork())
-        return std::nullopt;
+        return nullptr;
     std::uint16_t head =
         layout_.availRing(mem_, lastAvail_ % layout_.size());
     ++lastAvail_;
 
-    ChainWalk w = walkDescChain(mem_, layout_, head);
-    if (!w.ok) {
+    walkDescChain(mem_, layout_, head, walk_);
+    if (!walk_.ok) {
         badChains_.inc();
         // Complete the bad chain with zero length so the driver's
         // descriptors are not leaked, then drop it.
         if (head < layout_.size())
             pushUsed(head, 0);
-        return std::nullopt;
+        return nullptr;
     }
     popped_.inc();
     if (eventIdx_ && !notifySuppressed_) {
         // Re-arm: kick us once anything beyond lastAvail_ appears.
         layout_.setAvailEvent(mem_, lastAvail_);
     }
-    return w.chain;
+    return &walk_.chain;
 }
 
-std::vector<DescChain>
+std::span<const DescChain>
 VirtQueueDevice::popBatch(unsigned max)
 {
-    std::vector<DescChain> out;
+    std::size_t n = 0;
     unsigned consumed = 0;
-    while (out.size() < max && hasWork()) {
+    while (n < max && hasWork()) {
         std::uint16_t head =
             layout_.availRing(mem_, lastAvail_ % layout_.size());
         ++lastAvail_;
         ++consumed;
-        ChainWalk w = walkDescChain(mem_, layout_, head);
-        if (!w.ok) {
+        walkDescChain(mem_, layout_, head, walk_);
+        if (!walk_.ok) {
             badChains_.inc();
             if (head < layout_.size())
                 pushUsed(head, 0);
             continue;
         }
         popped_.inc();
-        out.push_back(std::move(w.chain));
+        if (n == chains_.size())
+            chains_.emplace_back();
+        // Swap rather than copy: the walk scratch inherits the
+        // slot's old segment buffer for the next chain.
+        std::swap(chains_[n++], walk_.chain);
     }
     if (consumed > 0 && eventIdx_ && !notifySuppressed_) {
         // One re-arm covers the whole drain: kick us once anything
         // beyond lastAvail_ appears.
         layout_.setAvailEvent(mem_, lastAvail_);
     }
-    return out;
+    return {chains_.data(), n};
 }
 
 void

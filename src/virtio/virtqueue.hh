@@ -22,8 +22,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "base/list_view.hh"
 #include "base/stats.hh"
 #include "fault/guest_fault.hh"
 #include "mem/guest_memory.hh"
@@ -39,6 +41,10 @@ struct Segment
     std::uint32_t len;
     bool deviceWrites; ///< VRING_DESC_F_WRITE
 };
+
+/** Segments of one request as a driver submits them: a braced
+ *  list (`{{addr, len, false}}`), a vector, or a pointer and count. */
+using SegmentList = ListView<Segment>;
 
 /** A popped descriptor chain, device side. */
 struct DescChain
@@ -79,15 +85,17 @@ struct ChainWalk
 };
 
 /**
- * Walk the chain starting at @p head. Handles fully-direct chains
- * and single-indirect-descriptor chains (the two forms virtio 1.0
- * drivers produce); malformed input (loops, range errors, buffers
- * outside guest memory, zero-length or misordered segments, nested
- * indirect) yields ok == false with `fault` naming the violation.
+ * Walk the chain starting at @p head into @p out, which is reset
+ * first; its vectors keep their capacity, so a caller that reuses
+ * one ChainWalk walks without allocating. Handles fully-direct
+ * chains and single-indirect-descriptor chains (the two forms
+ * virtio 1.0 drivers produce); malformed input (loops, range
+ * errors, buffers outside guest memory, zero-length or misordered
+ * segments, nested indirect) yields out.ok == false with
+ * `out.fault` naming the violation.
  */
-ChainWalk walkDescChain(const GuestMemory &mem,
-                        const VringLayout &layout,
-                        std::uint16_t head);
+void walkDescChain(const GuestMemory &mem, const VringLayout &layout,
+                   std::uint16_t head, ChainWalk &out);
 
 /**
  * Guest-driver view of a virtqueue.
@@ -121,11 +129,20 @@ class VirtQueueDriver
      *         descriptors.
      */
     std::optional<std::uint16_t>
-    submit(const std::vector<Segment> &out,
-           const std::vector<Segment> &in, std::uint64_t cookie);
+    submit(SegmentList out, SegmentList in, std::uint64_t cookie);
 
-    /** Reap all completions currently on the used ring. */
-    std::vector<UsedCompletion> collectUsed();
+    /** Reap all completions currently on the used ring into
+     *  @p done (cleared first; its capacity is reused). */
+    void collectUsed(std::vector<UsedCompletion> &done);
+
+    /** collectUsed() into a fresh vector (tests, cold paths). */
+    std::vector<UsedCompletion>
+    collectUsed()
+    {
+        std::vector<UsedCompletion> done;
+        collectUsed(done);
+        return done;
+    }
 
     /**
      * True if the device asked for a notification ("kick") — i.e.
@@ -191,19 +208,23 @@ class VirtQueueDevice
                     bool event_idx = false);
 
     /**
-     * Pop the next available chain; nullopt when the ring is empty
-     * or the next chain is malformed (counted in badChains()).
+     * Pop the next available chain; null when the ring is empty or
+     * the next chain is malformed (counted in badChains()). The
+     * chain lives in this queue's reused buffer: it stays valid
+     * until the next pop() or popBatch().
      */
-    std::optional<DescChain> pop();
+    const DescChain *pop();
 
     /**
      * Drain up to @p max available chains in one batched visit.
      * Unlike repeated pop(), malformed chains are completed with
      * zero length and skipped (they do not end the drain), and in
      * event-idx mode the kick threshold (avail_event) is re-armed
-     * once at the end of the drain instead of per chain.
+     * once at the end of the drain instead of per chain. The batch
+     * lives in this queue's reused buffers: it stays valid until
+     * the next pop() or popBatch().
      */
-    std::vector<DescChain> popBatch(unsigned max);
+    std::span<const DescChain> popBatch(unsigned max);
 
     /** True if any unprocessed avail entries exist. */
     bool hasWork() const;
@@ -250,6 +271,11 @@ class VirtQueueDevice
     std::uint16_t lastAvail_ = 0; ///< next avail slot to consume
     std::uint16_t usedIdx_ = 0;   ///< device's shadow of used->idx
     std::uint16_t lastIntrUsed_ = 0; ///< used idx at last IRQ
+    /** Walk scratch, and the popped chains handed out by pop() and
+     *  popBatch(); entries past the current batch keep their
+     *  segment capacity for the next one. */
+    ChainWalk walk_;
+    std::vector<DescChain> chains_;
     Counter badChains_;
     Counter popped_;
 };

@@ -33,7 +33,7 @@ AdversarialGuest::start()
 {
     stopped_ = false;
     auto *ev = new OneShotEvent([this] { step(); },
-                                name() + ".step");
+                                {name(), ".step"});
     scheduleIn(ev, params_.period);
 }
 
@@ -286,7 +286,7 @@ AdversarialGuest::step()
         return;
     }
     auto *ev = new OneShotEvent([this] { step(); },
-                                name() + ".step");
+                                {name(), ".step"});
     scheduleIn(ev, params_.period);
 }
 

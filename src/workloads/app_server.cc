@@ -173,7 +173,7 @@ AppServerBench::clientSend(unsigned client)
             ++timeouts_;
             clientSend(client);
         },
-        name() + ".rto");
+        {name(), ".rto"});
     scheduleIn(timeout, msToTicks(250));
 }
 
@@ -223,7 +223,7 @@ AppServerBench::respond(std::uint64_t seq, Bytes resp_len)
         // Tx ring momentarily full; retry shortly.
         auto *ev = new OneShotEvent(
             [this, seq, resp_len] { respond(seq, resp_len); },
-            name() + ".resp_retry");
+            {name(), ".resp_retry"});
         scheduleIn(ev, usToTicks(20));
     }
 }

@@ -88,7 +88,7 @@ FioRunner::jobLoop(unsigned job)
         if (!ok) {
             // Ring busy: retry shortly.
             auto *ev = new OneShotEvent(
-                [this, job] { jobLoop(job); }, name() + ".retry");
+                [this, job] { jobLoop(job); }, {name(), ".retry"});
             scheduleIn(ev, usToTicks(10));
         }
     });

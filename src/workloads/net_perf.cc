@@ -72,7 +72,7 @@ PacketFlood::start()
     // Stop the senders at t1; collect() allows the pipe to drain
     // for the extra doneAt() slack.
     auto *stopper =
-        new OneShotEvent([this] { stop_ = true; }, name() + ".stop");
+        new OneShotEvent([this] { stop_ = true; }, {name(), ".stop"});
     eventq().schedule(stopper, t1_);
 }
 
@@ -144,7 +144,7 @@ PacketFlood::senderLoop(unsigned flow)
             // Ring full: back off one poll period and retry.
             auto *ev = new OneShotEvent(
                 [this, flow] { senderLoop(flow); },
-                name() + ".retry");
+                {name(), ".retry"});
             scheduleIn(ev, paper::backendPollPeriod);
             return;
         }

@@ -99,7 +99,7 @@ TEST_F(EventIdxPairTest, InterruptOnlyOnUsedEventCrossing)
     unsigned irqs = 0;
     for (int i = 0; i < 4; ++i) {
         auto c = dev.pop();
-        ASSERT_TRUE(c.has_value());
+        ASSERT_NE(c, nullptr);
         dev.pushUsed(c->head, 0);
         if (dev.shouldInterrupt())
             ++irqs;
@@ -228,7 +228,7 @@ TEST_F(IoBondEventIdxTest, MsiOnlyOnUsedEventCrossing)
     wr(notifyRegionOffset, NET_TXQ, 4);
     sim.run(sim.now() + msToTicks(1));
     auto c = dev.pop();
-    ASSERT_TRUE(c.has_value());
+    ASSERT_NE(c, nullptr);
     dev.pushUsed(c->head, 0);
     bond.backendCompleted(0, NET_TXQ);
     sim.run(sim.now() + msToTicks(1));
@@ -243,7 +243,7 @@ TEST_F(IoBondEventIdxTest, ParkedUsedEventSilencesIoBond)
     sim.run(sim.now() + msToTicks(1));
     VirtQueueDevice dev(baseMem, bond.shadowLayout(0, NET_TXQ));
     auto c = dev.pop();
-    ASSERT_TRUE(c.has_value());
+    ASSERT_NE(c, nullptr);
     dev.pushUsed(c->head, 0);
     bond.backendCompleted(0, NET_TXQ);
     sim.run(sim.now() + msToTicks(1));

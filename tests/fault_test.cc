@@ -154,7 +154,7 @@ class HostileIndirect : public ::testing::Test
     void
     expectDropped()
     {
-        EXPECT_FALSE(dev.pop().has_value());
+        EXPECT_EQ(dev.pop(), nullptr);
         EXPECT_EQ(dev.badChains(), 1u);
         EXPECT_EQ(l.usedIdx(mem), 1u);
         EXPECT_EQ(l.usedRing(mem, 0).len, 0u);

@@ -126,7 +126,7 @@ TEST_F(IoBondTest, DirectChainMirroredWithPayload)
     // The backend pops the mirrored chain from base memory.
     auto dev = shadowDev();
     auto chain = dev.pop();
-    ASSERT_TRUE(chain.has_value());
+    ASSERT_NE(chain, nullptr);
     ASSERT_EQ(chain->segs.size(), 2u);
     EXPECT_EQ(chain->segs[0].len, 300u);
     EXPECT_FALSE(chain->segs[0].deviceWrites);
@@ -150,7 +150,7 @@ TEST_F(IoBondTest, IndirectChainMirrored)
 
     auto dev = shadowDev();
     auto chain = dev.pop();
-    ASSERT_TRUE(chain.has_value());
+    ASSERT_NE(chain, nullptr);
     ASSERT_EQ(chain->segs.size(), 3u);
     EXPECT_EQ(baseMem.read64(chain->segs[0].addr),
               0x1122334455667788ull);
@@ -183,7 +183,7 @@ TEST_F(IoBondTest, CompletionWritesBackDataAndRaisesMsi)
 
     auto dev = shadowDev();
     auto chain = dev.pop();
-    ASSERT_TRUE(chain.has_value());
+    ASSERT_NE(chain, nullptr);
     // Backend writes a reply into the writable shadow segment.
     std::vector<std::uint8_t> reply(128);
     for (std::size_t i = 0; i < reply.size(); ++i)
@@ -239,7 +239,7 @@ TEST_F(IoBondTest, InterruptSuppressionHonored)
     sim.run(sim.now() + msToTicks(1));
     auto dev = shadowDev();
     auto c = dev.pop();
-    ASSERT_TRUE(c.has_value());
+    ASSERT_NE(c, nullptr);
     dev.pushUsed(c->head, 0);
     bond.backendCompleted(0, NET_TXQ);
     sim.run(sim.now() + msToTicks(1));

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -510,6 +511,159 @@ TEST(PoolAllocatorTest, RandomAllocFreeStress)
         pool.free(a);
     EXPECT_EQ(pool.bytesFree(), 1 * MiB);
     EXPECT_EQ(pool.liveAllocations(), 0u);
+}
+
+/**
+ * Reference first fit: the allocator as it was written over a
+ * std::map of free extents, kept as an oracle. PoolAllocator must
+ * return exactly the addresses this returns.
+ */
+class MapFirstFit
+{
+  public:
+    MapFirstFit(Addr base, Bytes size) : free_(size)
+    {
+        extents_[base] = size;
+    }
+
+    Addr
+    alloc(Bytes len, Bytes align)
+    {
+        for (auto it = extents_.begin(); it != extents_.end(); ++it) {
+            Addr start = it->first;
+            Bytes ext_len = it->second;
+            Addr aligned = (start + align - 1) & ~(align - 1);
+            Bytes waste = aligned - start;
+            if (ext_len < waste + len)
+                continue;
+            extents_.erase(it);
+            if (waste > 0)
+                extents_[start] = waste;
+            Bytes tail = ext_len - waste - len;
+            if (tail > 0)
+                extents_[aligned + len] = tail;
+            live_[aligned] = len;
+            free_ -= len;
+            return aligned;
+        }
+        return PoolAllocator::nullAddr;
+    }
+
+    void
+    free(Addr addr)
+    {
+        auto it = live_.find(addr);
+        ASSERT_NE(it, live_.end());
+        Addr start = it->first;
+        Bytes len = it->second;
+        live_.erase(it);
+        free_ += len;
+        auto ins = extents_.emplace(start, len).first;
+        if (ins != extents_.begin()) {
+            auto prev = std::prev(ins);
+            if (prev->first + prev->second == ins->first) {
+                prev->second += ins->second;
+                extents_.erase(ins);
+                ins = prev;
+            }
+        }
+        auto next = std::next(ins);
+        if (next != extents_.end() &&
+            ins->first + ins->second == next->first) {
+            ins->second += next->second;
+            extents_.erase(next);
+        }
+    }
+
+    Bytes bytesFree() const { return free_; }
+    std::size_t liveAllocations() const { return live_.size(); }
+
+  private:
+    Bytes free_;
+    std::map<Addr, Bytes> extents_;
+    std::map<Addr, Bytes> live_;
+};
+
+/**
+ * Replay @p ops random alloc/free operations against PoolAllocator
+ * and the oracle; every result, bytesFree() and liveAllocations()
+ * must agree. @p sizes are drawn uniformly; @p any_align draws
+ * alignments 1..4096 instead of IO-Bond's 16. Allocation is
+ * favoured while fewer than @p max_live blocks are live, so long
+ * runs reach the arena's fragmentation (and, when the arena is
+ * small, its exhaustion) steady state.
+ */
+void
+replayAgainstOracle(Addr base, Bytes size, std::uint64_t seed,
+                    unsigned ops, const std::vector<Bytes> &sizes,
+                    bool any_align, std::size_t max_live,
+                    unsigned *exhausted = nullptr)
+{
+    PoolAllocator pool(base, size);
+    MapFirstFit ref(base, size);
+    Rng rng(seed);
+    std::vector<Addr> live;
+    for (unsigned i = 0; i < ops; ++i) {
+        bool grow = live.empty() ||
+                    rng.chance(live.size() < max_live ? 0.7 : 0.3);
+        if (grow) {
+            Bytes len = sizes[rng.uniformInt(0, sizes.size() - 1)];
+            Bytes align =
+                any_align ? Bytes(1) << rng.uniformInt(0, 12) : 16;
+            Addr a = pool.alloc(len, align);
+            ASSERT_EQ(a, ref.alloc(len, align))
+                << "op " << i << ": alloc(" << len << ", " << align
+                << ")";
+            if (a == PoolAllocator::nullAddr) {
+                if (exhausted)
+                    ++*exhausted;
+            } else {
+                live.push_back(a);
+            }
+        } else {
+            std::size_t k = rng.uniformInt(0, live.size() - 1);
+            pool.free(live[k]);
+            ref.free(live[k]);
+            live[k] = live.back();
+            live.pop_back();
+        }
+        ASSERT_EQ(pool.bytesFree(), ref.bytesFree()) << "op " << i;
+        ASSERT_EQ(pool.liveAllocations(), ref.liveAllocations())
+            << "op " << i;
+    }
+}
+
+TEST(PoolAllocatorTest, MatchesReferenceFirstFitOnIoBondMix)
+{
+    // IO-Bond's shadow arena: 16 MiB after the 4 MiB ring area,
+    // 2 KiB rx buffers, ~60 B tx frames, indirect tables, 4 KiB and
+    // 128 KiB block I/O, several hundred chains in flight.
+    const std::vector<Bytes> sizes = {2048, 2048, 2048, 2048, 60,
+                                      76,   48,   4096, 4112, 131072,
+                                      131088};
+    replayAgainstOracle(4 * MiB, 16 * MiB, 1, 60000, sizes, false,
+                        600);
+}
+
+TEST(PoolAllocatorTest, MatchesReferenceFirstFitAnyAlignment)
+{
+    // Alignments 1..4096 over a misaligned base, random sizes.
+    std::vector<Bytes> sizes;
+    Rng rng(5);
+    for (int i = 0; i < 64; ++i)
+        sizes.push_back(rng.uniformInt(1, 9000));
+    replayAgainstOracle(0x1003, 4 * MiB, 2, 30000, sizes, true, 300);
+}
+
+TEST(PoolAllocatorTest, MatchesReferenceFirstFitToExhaustion)
+{
+    // A small arena driven past its capacity again and again: the
+    // null results (and what is left free) must agree too.
+    const std::vector<Bytes> sizes = {2048, 60, 4096, 131072, 300};
+    unsigned exhausted = 0;
+    replayAgainstOracle(0x10, 512 * KiB, 3, 30000, sizes, true, 4096,
+                        &exhausted);
+    EXPECT_GT(exhausted, 1000u);
 }
 
 TEST(PoolAllocatorTest, DoubleFreePanics)

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "base/inline_function.hh"
 #include "base/logging.hh"
 #include "sim/eventq.hh"
 #include "sim/sim_object.hh"
@@ -329,6 +334,94 @@ TEST(EventQueueTest, OneShotSelfDeletes)
     // No leak checker here, but ASAN builds catch a double free /
     // leak; the event must not be touched again.
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, QueueTeardownDestroysPendingOneShots)
+{
+    const std::int64_t live0 = OneShotEvent::live();
+    auto token = std::make_shared<int>(0);
+    int runs = 0;
+    {
+        EventQueue q;
+        std::vector<OneShotEvent *> evs;
+        for (int i = 0; i < 100; ++i) {
+            evs.push_back(new OneShotEvent(
+                [&runs, token] { ++runs; }, "pending"));
+            q.schedule(evs.back(), Tick(10 + i));
+        }
+        // A descheduled one-shot is its creator's again: the queue
+        // only holds a stale entry for it and must not free it.
+        q.deschedule(evs[7]);
+        delete evs[7];
+        q.run(20);
+        EXPECT_EQ(runs, 10);
+        EXPECT_EQ(OneShotEvent::live(), live0 + 89);
+    }
+    EXPECT_EQ(runs, 10);
+    EXPECT_EQ(OneShotEvent::live(), live0);
+    // Every capture was destroyed, not just the storage returned.
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueTest, OneShotStorageIsRecycled)
+{
+    EventQueue q;
+    auto *a = new OneShotEvent([] {}, "a");
+    const void *first = a;
+    q.schedule(a, 1);
+    q.run();
+    // Freed into this thread's pool; the next one-shot reuses it.
+    auto *b = new OneShotEvent([] {}, "b");
+    EXPECT_EQ(static_cast<const void *>(b), first);
+    delete b;
+}
+
+TEST(EventQueueTest, OneShotNameJoinsOwnerAndLabel)
+{
+    const std::string owner = "server.guest0.cpu1";
+    auto *a = new OneShotEvent([] {}, {owner, ".work"});
+    auto *b = new OneShotEvent([] {}, "plain");
+    EXPECT_EQ(a->name(), "server.guest0.cpu1.work");
+    EXPECT_EQ(b->name(), "plain");
+    delete a;
+    delete b;
+}
+
+TEST(InlineFunctionTest, CapturesUpToCapacityStayInline)
+{
+    using Fn = InlineFunction<64>;
+    std::array<char, 56> small{};
+    std::array<char, 80> big{};
+    auto small_fn = [small] { (void)small; };
+    auto big_fn = [big] { (void)big; };
+    static_assert(Fn::fitsInline<decltype(small_fn)>);
+    static_assert(!Fn::fitsInline<decltype(big_fn)>);
+
+    // Both run, survive moves, and destroy their captures once.
+    auto token = std::make_shared<int>(0);
+    int runs = 0;
+    Fn a([&runs, token, small] { (void)small; ++runs; });
+    Fn b([&runs, token, big] { (void)big; ++runs; });
+    EXPECT_EQ(token.use_count(), 3);
+    Fn a2 = std::move(a);
+    Fn b2;
+    b2 = std::move(b);
+    EXPECT_FALSE(a);
+    EXPECT_FALSE(b);
+    a2();
+    b2();
+    EXPECT_EQ(runs, 2);
+    a2.reset();
+    b2.reset();
+    EXPECT_EQ(token.use_count(), 1);
+
+    // Move-only captures work; empty std::function stays empty.
+    Fn c([p = std::make_unique<int>(7), &runs] { runs += *p; });
+    c();
+    EXPECT_EQ(runs, 9);
+    std::function<void()> none;
+    EXPECT_FALSE(Fn(none));
+    EXPECT_TRUE(Fn(std::function<void()>([] {})));
 }
 
 TEST(EventQueueTest, ManyEventsStressOrdering)

@@ -114,7 +114,7 @@ TEST_P(QueuePairTest, SubmitPopCompleteCollect)
     EXPECT_TRUE(dev.hasWork());
 
     auto chain = dev.pop();
-    ASSERT_TRUE(chain.has_value());
+    ASSERT_NE(chain, nullptr);
     ASSERT_EQ(chain->segs.size(), 2u);
     EXPECT_EQ(chain->segs[0].addr, 0x20000u);
     EXPECT_EQ(chain->segs[0].len, 100u);
@@ -160,7 +160,7 @@ TEST_P(QueuePairTest, RingFillsAndRecovers)
     auto h2 = drv.submit({{0x20000, 10, false}}, {}, 999);
     ASSERT_TRUE(h2.has_value());
     auto c2 = dev.pop();
-    ASSERT_TRUE(c2.has_value());
+    ASSERT_NE(c2, nullptr);
     dev.pushUsed(c2->head, 0);
     EXPECT_EQ(drv.collectUsed().at(0).cookie, 999u);
 }
@@ -174,7 +174,7 @@ TEST_P(QueuePairTest, IndexWrapAround16Bit)
                             std::uint64_t(round));
         ASSERT_TRUE(h.has_value()) << round;
         auto c = dev.pop();
-        ASSERT_TRUE(c.has_value()) << round;
+        ASSERT_NE(c, nullptr) << round;
         dev.pushUsed(c->head, 0);
         auto done = drv.collectUsed();
         ASSERT_EQ(done.size(), 1u);
@@ -201,7 +201,7 @@ TEST(VirtQueueDeviceTest, MalformedLoopDropsChain)
     l.setAvailRing(mem, 0, 0);
     l.setAvailIdx(mem, 1);
 
-    EXPECT_FALSE(dev.pop().has_value());
+    EXPECT_EQ(dev.pop(), nullptr);
     EXPECT_EQ(dev.badChains(), 1u);
     // The chain was completed back with len 0, not leaked.
     EXPECT_EQ(l.usedIdx(mem), 1u);
@@ -216,7 +216,7 @@ TEST(VirtQueueDeviceTest, OutOfRangeIndexDropsChain)
     VirtQueueDevice dev(mem, l);
     l.setAvailRing(mem, 0, 9); // head out of range
     l.setAvailIdx(mem, 1);
-    EXPECT_FALSE(dev.pop().has_value());
+    EXPECT_EQ(dev.pop(), nullptr);
     EXPECT_EQ(dev.badChains(), 1u);
 }
 
@@ -234,7 +234,7 @@ TEST(VirtQueueDeviceTest, NestedIndirectRejected)
     l.writeDesc(mem, 0, {tbl, 16, VRING_DESC_F_INDIRECT, 0});
     l.setAvailRing(mem, 0, 0);
     l.setAvailIdx(mem, 1);
-    EXPECT_FALSE(dev.pop().has_value());
+    EXPECT_EQ(dev.pop(), nullptr);
     EXPECT_EQ(dev.badChains(), 1u);
 }
 
@@ -264,7 +264,8 @@ TEST(WalkDescChainTest, ReportsPathAndIndirectInfo)
     drv.submit({{0x100, 10, false}, {0x200, 20, false}},
                {{0x300, 30, true}}, 1);
     // Indirect: head descriptor points at a 3-entry table.
-    ChainWalk w = walkDescChain(mem, l, 0);
+    ChainWalk w;
+    walkDescChain(mem, l, 0, w);
     ASSERT_TRUE(w.ok);
     EXPECT_TRUE(w.indirect);
     EXPECT_EQ(w.indirectCount, 3u);
@@ -272,6 +273,19 @@ TEST(WalkDescChainTest, ReportsPathAndIndirectInfo)
     ASSERT_EQ(w.chain.segs.size(), 3u);
     EXPECT_EQ(w.chain.segs[2].len, 30u);
     EXPECT_TRUE(w.chain.segs[2].deviceWrites);
+
+    // The same ChainWalk is reset by the next walk (a one-segment
+    // request goes direct even on an indirect-capable driver).
+    auto head = drv.submit({{0x400, 40, false}}, {}, 2);
+    ASSERT_TRUE(head.has_value());
+    walkDescChain(mem, l, *head, w);
+    ASSERT_TRUE(w.ok);
+    EXPECT_FALSE(w.indirect);
+    EXPECT_EQ(w.indirectCount, 0u);
+    EXPECT_EQ(w.chain.head, *head);
+    ASSERT_EQ(w.path.size(), 1u);
+    ASSERT_EQ(w.chain.segs.size(), 1u);
+    EXPECT_EQ(w.chain.segs[0].len, 40u);
 }
 
 // --- virtio-pci transport ---
