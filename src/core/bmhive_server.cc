@@ -114,19 +114,21 @@ BmHiveServer::BmHiveServer(Simulation &sim, std::string name,
     base_ = std::make_unique<hw::BaseBoard>(
         sim, this->name() + ".base", hw::CpuCatalog::baseBoardE5(),
         base_mem, paper::ioBondMailboxAccess);
+    // Dedicated mode leaves the pool empty: every process polls on
+    // its own lane.
+    std::vector<hw::CpuExecutor *> pool;
     if (params_.schedMode == SchedMode::Shared) {
         fatal_if(params_.pollCores == 0 ||
                      params_.pollCores > base_->coreCount(),
                  this->name(), ": shared mode needs 1..",
                  base_->coreCount(), " poll cores, got ",
                  params_.pollCores);
-        std::vector<hw::CpuExecutor *> pool;
         for (unsigned i = 0; i < params_.pollCores; ++i)
             pool.push_back(&base_->core(i));
-        sched_ = std::make_unique<sched::PollScheduler>(
-            sim, this->name() + ".sched", std::move(pool),
-            params_.schedParams);
     }
+    sched_ = std::make_unique<sched::PollScheduler>(
+        sim, this->name() + ".sched", std::move(pool),
+        params_.schedParams);
 }
 
 BmHiveServer::~BmHiveServer()
@@ -157,18 +159,13 @@ void
 BmHiveServer::watchdogCheck()
 {
     watchdogChecks_.inc();
-    heartbeat_.resize(guests_.size(), 0);
     migrating_.resize(guests_.size(), false);
     for (unsigned i = 0; i < guests_.size(); ++i) {
-        if (!guests_[i]) {
-            heartbeat_[i] = 0; // tombstone: exported or released
-            continue;
-        }
+        if (!guests_[i])
+            continue; // tombstone: exported or released
         hv::BmHypervisor &hv = guests_[i]->hypervisor();
-        if (!hv.connected()) {
-            heartbeat_[i] = 0;
+        if (!hv.connected())
             continue;
-        }
         if (migrating_[i] && migrationWatchdogGuard_) {
             // Mid-migration the backend is *deliberately* quiet (the
             // drain stopped its service), so "no poll progress" is
@@ -181,42 +178,23 @@ BmHiveServer::watchdogCheck()
                 migrationAbortCb_(i);
             continue;
         }
-        if (sched_) {
-            // Shared mode: an idle backend legitimately stops
-            // being visited once its core sleeps, so the signal is
-            // per-pollable progress — work posted a whole period
-            // ago with no scheduler visit since — not a raw poll
-            // count.
-            if (hv.crashed() || hv.pollWedged(watchdogPeriod_)) {
-                Tick down_since = hv.crashed()
-                                      ? hv.crashedAt()
-                                      : curTick() - watchdogPeriod_;
-                warn(name(), ": guest", i,
-                     " backend made no poll progress; respawning");
-                hv.respawn();
-                watchdogRespawns_.inc();
-                recoveryTicks_.record(curTick() - down_since);
-                flightDump(i, "watchdog");
-            }
-            continue;
-        }
-        std::uint64_t beat = hv.service().pollsTotal();
-        // The poll loop runs every few microseconds when healthy,
-        // so an unchanged counter over a whole watchdog period
-        // means the process is dead or wedged.
-        if (hv.crashed() || beat == heartbeat_[i]) {
+        // A healthy backend is visited soon after work is posted
+        // and an idle one posts none, so the one liveness signal in
+        // every mode is per-pollable progress — work posted a
+        // whole period ago with no poll visit since — not a raw
+        // poll count: an idle backend stalled past a period is not
+        // respawned.
+        if (hv.crashed() || hv.pollWedged(watchdogPeriod_)) {
             Tick down_since = hv.crashed()
                                   ? hv.crashedAt()
                                   : curTick() - watchdogPeriod_;
             warn(name(), ": guest", i,
-                 " backend heartbeat lost; respawning");
+                 " backend made no poll progress; respawning");
             hv.respawn();
             watchdogRespawns_.inc();
             recoveryTicks_.record(curTick() - down_since);
             flightDump(i, "watchdog");
         }
-        // Snapshot the (possibly fresh) service's counter.
-        heartbeat_[i] = hv.service().pollsTotal();
     }
     if (watchdogPeriod_ > 0)
         scheduleIn(&watchdogEvent_, watchdogPeriod_);
@@ -250,6 +228,17 @@ BmHiveServer::dumpStats()
     }
     if (statsPeriod_ > 0)
         scheduleIn(&statsEvent_, statsPeriod_);
+}
+
+std::pair<hw::CpuExecutor *, std::optional<unsigned>>
+BmHiveServer::placeProcess()
+{
+    if (params_.schedMode == SchedMode::Shared) {
+        unsigned c = sched_->leastLoadedCore();
+        return {&sched_->coreExecutor(c), c};
+    }
+    return {&base_->core(nextCore_++ % base_->coreCount()),
+            std::nullopt};
 }
 
 unsigned
@@ -343,23 +332,12 @@ BmHiveServer::tryProvision(const InstanceType &type,
 
     // One bm-hypervisor process: a dedicated base core, or a slot
     // on the shared poll-core pool (least-loaded placement).
-    unsigned sched_core = 0;
-    hw::CpuExecutor *core = nullptr;
-    if (sched_) {
-        sched_core = sched_->leastLoadedCore();
-        core = &sched_->coreExecutor(sched_core);
-    } else {
-        core = &base_->core(nextCore_ % base_->coreCount());
-        ++nextCore_;
-    }
+    auto [core, shared_core] = placeProcess();
     g->hv_ = std::make_unique<hv::BmHypervisor>(
         sim_, base_name + ".hv", *g->board_, *g->bond_, *core,
-        vswitch_, mac, vol != nullptr ? storage_ : nullptr, vol,
-        rate_limited);
-    if (sched_) {
-        g->hv_->useScheduler(*sched_, sched_core);
-        g->hv_->setMqPassthrough(params_.mqPassthrough);
-    }
+        *sched_, shared_core, vswitch_, mac,
+        vol != nullptr ? storage_ : nullptr, vol, rate_limited);
+    g->hv_->setMqPassthrough(params_.mqPassthrough);
 
     // Power on; firmware enumerates PCI; drivers come up.
     g->hv_->powerOnGuest();
@@ -413,8 +391,6 @@ BmHiveServer::tryProvision(const InstanceType &type,
         containment_[idx] = c;
         lastDumpAt_[idx] = maxTick;
         dumpSeq_[idx] = 0;
-        if (idx < heartbeat_.size())
-            heartbeat_[idx] = 0;
         if (idx < migrating_.size())
             migrating_[idx] = false;
     }
@@ -521,8 +497,6 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
     containment_[idx] = eg.containment;
     lastDumpAt_[idx] = eg.lastDumpAt;
     dumpSeq_[idx] = eg.dumpSeq;
-    if (idx < heartbeat_.size())
-        heartbeat_[idx] = 0;
     if (idx < migrating_.size())
         migrating_[idx] = false;
     ++usedSlots_;
@@ -577,29 +551,22 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
 
     // Target core for the re-homed PMD: same placement policy as a
     // fresh provision.
-    unsigned sched_core = 0;
-    hw::CpuExecutor *core = nullptr;
-    if (sched_) {
-        sched_core = sched_->leastLoadedCore();
-        core = &sched_->coreExecutor(sched_core);
-    } else {
-        core = &base_->core(nextCore_ % base_->coreCount());
-        ++nextCore_;
-    }
+    auto [core, shared_core] = placeProcess();
 
     // Re-home the bond's base-memory side (replaying the in-flight
     // window into this server's memory), then re-home the PMD and
     // re-apply the travelled containment state at the scheduler.
     g.bond_->rebase(
         base_->memory(), g.regionBase_,
-        [this, idx, core, sched_core, done = std::move(done)] {
+        [this, idx, core = core, shared_core = shared_core,
+         done = std::move(done)] {
             if (idx >= guests_.size() || !guests_[idx]) {
                 if (done)
                     done(idx);
                 return;
             }
             BmGuest &gg = *guests_[idx];
-            gg.hv_->migrateTo(*core, sched_.get(), sched_core);
+            gg.hv_->migrateTo(*core, *sched_, shared_core);
             double w = 1.0;
             if (containment_[idx].state == GuestHealth::Suspect)
                 w = params_.containment.suspectPollWeight;

@@ -17,7 +17,9 @@
 #define BMHIVE_CORE_BMHIVE_SERVER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/token_bucket.hh"
@@ -104,7 +106,7 @@ struct IntegrityParams
 
 /** How bm-hypervisor PMDs map onto base-board cores. */
 enum class SchedMode {
-    /** One always-busy-polling process per core (seed behavior). */
+    /** One always-busy-polling lane per process (seed behavior). */
     Dedicated,
     /** N processes multiplexed over a PollScheduler core pool. */
     Shared,
@@ -133,9 +135,9 @@ struct BmServerParams
     /** Submission queues per guest disk (> 1 offers
      *  VIRTIO_BLK_F_MQ; one per vCPU is the classic shape). */
     unsigned blkQueues = 1;
-    /** Bind MQ queue units 1:1 to dedicated passthrough pollers
-     *  instead of the shared DWRR stage (Shared mode only;
-     *  containment demotes a misbehaving guest back to shared). */
+    /** Put each MQ queue unit alone on a passthrough lane instead
+     *  of the shared DWRR stage (Shared mode only; containment
+     *  demotes a misbehaving guest back to shared). */
     bool mqPassthrough = false;
     /** DWRR / governor tuning of the shared pool. */
     sched::PollSchedulerParams schedParams = {};
@@ -246,7 +248,9 @@ class BmHiveServer : public SimObject
     cloud::VSwitch &vswitch() { return vswitch_; }
     unsigned freeSlots() const;
 
-    /** The shared poll-core pool; null under Dedicated mode. */
+    /** The poll scheduler driving every guest backend: a shared
+     *  pool of pollCores cores, or (Dedicated) one lane per
+     *  process and an empty pool. */
     sched::PollScheduler *scheduler() { return sched_.get(); }
     SchedMode schedMode() const { return params_.schedMode; }
 
@@ -263,10 +267,11 @@ class BmHiveServer : public SimObject
     std::uint64_t statsDumps() const { return statsDumps_.value(); }
 
     /**
-     * Watch every guest's backend poll loop: the poll counter is
-     * the process heartbeat. A guest whose hypervisor crashed, or
-     * whose heartbeat did not advance over a whole period, is
-     * respawned and its shadow-vring state re-adopted. The outage
+     * Watch every guest's backend: a guest whose hypervisor
+     * crashed, or whose backend had work posted a whole period ago
+     * with no poll visit since (pollWedged), is respawned and its
+     * shadow-vring state re-adopted. An idle backend is never
+     * respawned, however long it goes unpolled. The outage
      * duration (crash until the replacement is polling) lands in
      * "<name>.watchdog.recovery_ticks".
      */
@@ -439,6 +444,11 @@ class BmHiveServer : public SimObject
     /** One watchdog sweep over all provisioned guests. */
     void watchdogCheck();
 
+    /** Core for a new or adopted bm-hypervisor process, and its
+     *  pool core under Shared mode (none: a dedicated lane). */
+    std::pair<hw::CpuExecutor *, std::optional<unsigned>>
+    placeProcess();
+
     /** Next shadow region: free-list first, then fresh. Bounded by
      *  the usedSlots_ < maxBoards admission checks. */
     Addr allocRegion();
@@ -484,7 +494,6 @@ class BmHiveServer : public SimObject
     unsigned nextCore_ = 0;
     Tick statsPeriod_ = 0; ///< 0: periodic dump disabled
     Tick watchdogPeriod_ = 0; ///< 0: watchdog disabled
-    std::vector<std::uint64_t> heartbeat_;
     std::vector<Containment> containment_;
     std::vector<bool> migrating_;
     bool migrationWatchdogGuard_ = true;

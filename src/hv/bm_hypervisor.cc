@@ -12,13 +12,16 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
                            hw::ComputeBoard &board,
                            iobond::IoBond &bond,
                            hw::CpuExecutor &core,
+                           sched::PollScheduler &sched,
+                           std::optional<unsigned> shared_core,
                            cloud::VSwitch &vswitch,
                            cloud::MacAddr mac,
                            cloud::BlockService *storage,
                            cloud::Volume *volume, bool rate_limited)
     : SimObject(sim, std::move(name)), board_(board), bond_(bond),
       vswitch_(&vswitch), mac_(mac), storage_(storage),
-      volume_(volume), rateLimited_(rate_limited),
+      volume_(volume), rateLimited_(rate_limited), core_(&core),
+      sched_(&sched), sharedCore_(shared_core),
       faultInjected_(
           metrics().counter(this->name() + ".fault.injected")),
       respawns_(metrics().counter(this->name() + ".respawns")),
@@ -29,8 +32,10 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
       mqPassDemotions_(metrics().counter(
           this->name() + ".mq.passthrough_demotions"))
 {
+    panic_if(shared_core && &sched.coreExecutor(*shared_core) != &core,
+             this->name(),
+             ": scheduler core does not back this process's PMD");
     IoServiceParams params;
-    params.pollPeriod = paper::bmPollPeriod;
     // Each poll reads the IO-Bond mailbox over PCIe; each
     // completion batch writes the tail register (0.8 us, paper
     // section 3.4.3). Payload copies are IO-Bond DMA, not CPU.
@@ -39,7 +44,6 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
     params.perPacketCopyCost = 0;
     params.suppressGuestNotify = false; // the doorbell is hardware
 
-    core_ = &core;
     serviceParams_ = params;
     service_ = std::make_unique<VirtioIoService>(
         sim, this->name() + ".svc", core, params);
@@ -50,6 +54,23 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
 
     bond_.setReadyCallback(
         [this](unsigned fn) { onFunctionReady(fn); });
+    // The doorbell mailbox write is what wakes a sleeping poll
+    // core. MQ doorbells carry (fn, q) so only the queue's own unit
+    // spins up; handle_ tracks the current service generation.
+    bond_.setQueueWake([this](unsigned fn, unsigned q) {
+        if (sim_.currentPartition() != partition()) {
+            // A guest event still queued in the source partition
+            // when a migration re-homed the guest runs on the
+            // source worker: hand the wake to this process's
+            // partition instead of touching its scheduler there.
+            sim_.post(
+                partition(), sim_.now() + sim_.lookahead(),
+                [this, fn, q] { wakeQueue(fn, q); },
+                Event::defaultPri, {this->name(), ".wake"});
+            return;
+        }
+        wakeQueue(fn, q);
+    });
     // Guest set-queue-pairs commits reshape the vSwitch RSS spread
     // (a no-op until the port is in RSS mode).
     bond_.setQueuePairsCallback([this](unsigned fn,
@@ -68,74 +89,50 @@ BmHypervisor::~BmHypervisor()
     unregisterService();
     sim_.faults().remove(name());
     bond_.setReadyCallback(nullptr);
-    bond_.setDoorbellWake(nullptr);
     bond_.setQueueWake(nullptr);
     bond_.setQueuePairsCallback(nullptr);
 }
 
 void
-BmHypervisor::useScheduler(sched::PollScheduler &s,
-                           unsigned core_index)
+BmHypervisor::setPollWeight(double w)
 {
-    panic_if(connected_, name(),
-             ": useScheduler after backends connected");
-    panic_if(&s.coreExecutor(core_index) != core_, name(),
-             ": scheduler core does not back this process's PMD");
-    sched_ = &s;
-    schedCore_ = core_index;
-    // The doorbell mailbox write is what wakes a sleeping poll
-    // core; handle_ tracks the current service generation.
-    bond_.setDoorbellWake([this] {
-        if (handle_.valid())
-            sched_->wake(handle_);
-    });
-    // MQ doorbells carry (fn, q) so only the queue's own unit
-    // spins up; falls back to the whole-service handle when the
-    // guest runs single-queue.
-    bond_.setQueueWake(
-        [this](unsigned fn, unsigned q) { wakeQueue(fn, q); });
+    // Quarantine/Suspect demotes a passthrough guest back under
+    // the shared scheduler, where a fractional weight actually
+    // bites; full weight re-promotes.
+    if (passthroughQueues() > 0 && w < 1.0)
+        mqPassDemotions_.inc();
+    pollWeight_ = w;
+    if (syncPassthrough())
+        return;
+    sched_->setWeight(handle_, w);
+    for (auto &r : queueRegs_)
+        sched_->setWeight(r.handle, w);
+    sched_->setWeight(conHandle_, w);
 }
 
 void
-BmHypervisor::setPollWeight(double w)
+BmHypervisor::setPollPeriod(Tick t)
 {
-    pollWeight_ = w;
-    if (!sched_)
-        return;
-    if (handle_.valid())
-        sched_->setWeight(handle_, w);
-    if (queueRegs_.empty())
-        return;
-    bool want_pass = passthroughWanted_ && w >= 1.0;
-    if (want_pass != passthroughActive_) {
-        // Quarantine/Suspect demotes a passthrough guest back
-        // under the shared scheduler, where a fractional weight
-        // actually bites; full weight re-promotes.
-        if (!want_pass)
-            mqPassDemotions_.inc();
-        unregisterQueueUnits();
-        registerQueueUnits();
-        return;
-    }
-    for (auto &r : queueRegs_) {
-        if (r.handle.valid())
-            sched_->setWeight(r.handle, w);
-    }
-    if (conHandle_.valid())
-        sched_->setWeight(conHandle_, w);
+    pollPeriod_ = t;
+    sched_->setPeriod(handle_, t);
 }
 
 void
 BmHypervisor::setMqPassthrough(bool on)
 {
     passthroughWanted_ = on;
-    if (!sched_ || queueRegs_.empty())
-        return;
-    if ((passthroughWanted_ && pollWeight_ >= 1.0) !=
-        passthroughActive_) {
-        unregisterQueueUnits();
-        registerQueueUnits();
-    }
+    syncPassthrough();
+}
+
+bool
+BmHypervisor::syncPassthrough()
+{
+    bool want = passthroughWanted_ && pollWeight_ >= 1.0;
+    if (queueRegs_.empty() || want == (passthroughQueues() > 0))
+        return false;
+    unregisterService();
+    registerQueueUnits();
+    return true;
 }
 
 unsigned
@@ -143,52 +140,54 @@ BmHypervisor::passthroughQueues() const
 {
     unsigned n = 0;
     for (const auto &r : queueRegs_)
-        n += r.pass && r.pass->bound() ? 1 : 0;
+        n += r.pass ? 1 : 0;
     return n;
 }
 
 bool
 BmHypervisor::pollWedged(Tick window) const
 {
-    if (!sched_)
-        return false;
-    if (handle_.valid() && sched_->wedged(handle_, window))
+    if (sched_->wedged(handle_, window) ||
+        sched_->wedged(conHandle_, window))
         return true;
     for (const auto &r : queueRegs_) {
-        // Passthrough units self-schedule; they cannot be starved
-        // by the shared scheduler, so they have no wedge signal.
-        if (r.handle.valid() && sched_->wedged(r.handle, window))
+        if (sched_->wedged(r.handle, window))
             return true;
     }
-    return conHandle_.valid() && sched_->wedged(conHandle_, window);
+    return false;
 }
 
 void
 BmHypervisor::startService()
 {
-    if (!sched_) {
-        service_->start();
-        return;
-    }
-    service_->setExternallyDriven(true);
     service_->start();
-    if (service_->netPairCount() > 1 ||
-        service_->blkQueueCount() > 1) {
-        // Multi-queue: the DWRR scheduler (or a passthrough
-        // poller) owns each queue individually — registering the
-        // whole service as well would double-serve every ring.
+    service_->setSchedDelayStamps(sharedCore_.has_value());
+    if (sharedCore_ && (service_->netPairCount() > 1 ||
+                        service_->blkQueueCount() > 1)) {
+        // Multi-queue: the pool cores (or passthrough lanes) own
+        // each queue individually — registering the whole service
+        // as well would double-serve every ring.
         registerQueueUnits();
         return;
     }
-    handle_ = sched_->add(schedCore_, *service_, pollWeight_);
-    if (flight_)
-        sched_->setFlightRecorder(handle_, flight_);
+    handle_ = sharedCore_
+                  ? sched_->add(*sharedCore_, *service_, pollWeight_)
+                  : sched_->addPinned(sched::LaneKind::Dedicated,
+                                      *core_, *service_, pollPeriod_);
+    sched_->setFlightRecorder(handle_, flight_);
     // Backend-side arrivals (vSwitch rx, console input) wake the
     // core the same way guest doorbells do.
-    service_->setWakeHook([this] {
-        if (handle_.valid())
-            sched_->wake(handle_);
-    });
+    service_->setWakeHook([this](int) { sched_->wake(handle_); });
+}
+
+void
+BmHypervisor::stopService(bool dead)
+{
+    if (dead)
+        service_->markDead();
+    else
+        service_->stop();
+    unregisterService();
 }
 
 void
@@ -202,46 +201,28 @@ BmHypervisor::registerQueueUnits()
         QueueReg r;
         r.net = net;
         r.idx = idx;
+        r.pass = pass;
         // Round-robin outward from the home core: one guest's
         // queues burn different poll cores in parallel.
-        r.core = (schedCore_ + k++) % ncores;
+        r.core = (*sharedCore_ + k++) % ncores;
         hw::CpuExecutor *exec = &sched_->coreExecutor(r.core);
         std::string qn = name() +
                          (net ? ".mq.netp" : ".mq.blkq") +
                          std::to_string(idx);
-        mq::QueuePollable::PollFn poll;
-        if (net) {
-            poll = [svc, idx, exec](unsigned b) {
-                return svc->servicePollNetPair(idx, b, exec);
-            };
-        } else {
-            poll = [svc, idx, exec](unsigned b) {
-                return svc->servicePollBlkQueue(idx, b, exec);
-            };
-        }
-        r.pollable = std::make_unique<mq::QueuePollable>(
-            qn, std::move(poll));
-        r.pollable->setAlive([svc] { return svc->alive(); });
-        r.pollable->setBlockedUntil(
-            [svc] { return svc->pollBlockedUntil(); });
+        auto poll = [svc, net, idx, exec](unsigned b) {
+            return net ? svc->servicePollNetPair(idx, b, exec)
+                       : svc->servicePollBlkQueue(idx, b, exec);
+        };
+        r.pollable =
+            std::make_unique<mq::QueuePollable>(qn, poll, *svc);
         if (pass) {
-            // Generation-independent poller name: metric cells
-            // are get-or-create, so counters accumulate across
-            // respawns and demote/promote cycles.
-            r.pass = std::make_unique<mq::PassthroughPoller>(
-                sim_,
-                name() + (net ? ".mq.pass.netp" : ".mq.pass.blkq") +
-                    std::to_string(idx),
-                *exec);
-            r.pass->bind([p = r.pollable.get()](unsigned b) {
-                return p->servicePoll(b);
-            });
+            r.handle = sched_->addPinned(sched::LaneKind::Passthrough,
+                                         *exec, *r.pollable);
             mqPassBinds_.inc();
         } else {
             r.handle =
                 sched_->add(r.core, *r.pollable, pollWeight_);
-            if (flight_)
-                sched_->setFlightRecorder(r.handle, flight_);
+            sched_->setFlightRecorder(r.handle, flight_);
         }
         mqQueueRegs_.inc();
         queueRegs_.push_back(std::move(r));
@@ -250,114 +231,74 @@ BmHypervisor::registerQueueUnits()
         add(true, p);
     for (unsigned q = 0; q < svc->blkQueueCount(); ++q)
         add(false, q);
-    passthroughActive_ = pass;
 
     // The console stays a small shared unit on the home core even
     // under passthrough — it is never the fast path.
     conPollable_ = std::make_unique<mq::QueuePollable>(
-        name() + ".mq.con", [svc](unsigned b) {
-            return svc->servicePollConsole(b);
-        });
-    conPollable_->setAlive([svc] { return svc->alive(); });
-    conPollable_->setBlockedUntil(
-        [svc] { return svc->pollBlockedUntil(); });
-    conHandle_ = sched_->add(schedCore_, *conPollable_,
+        name() + ".mq.con",
+        [svc](unsigned b) { return svc->servicePollConsole(b); },
+        *svc);
+    conHandle_ = sched_->add(*sharedCore_, *conPollable_,
                              pollWeight_);
-    if (flight_)
-        sched_->setFlightRecorder(conHandle_, flight_);
+    sched_->setFlightRecorder(conHandle_, flight_);
 
-    // Steered rx wakes only the target pair's unit; everything
-    // else backend-side (console input) wakes the home unit.
-    service_->setRxWakeHook([this](unsigned pair) {
-        for (auto &r : queueRegs_) {
-            if (r.net && r.idx == pair) {
-                if (r.pass)
-                    r.pass->wake();
-                else if (r.handle.valid())
-                    sched_->wake(r.handle);
-                return;
-            }
-        }
-    });
-    service_->setWakeHook([this] {
-        if (conHandle_.valid())
-            sched_->wake(conHandle_);
+    // Steered rx wakes only the target pair's unit; console input
+    // wakes the console unit.
+    service_->setWakeHook([this](int pair) {
+        QueueReg *r = pair < 0 ? nullptr : findUnit(true, pair);
+        sched_->wake(r ? r->handle : conHandle_);
     });
 }
 
-void
-BmHypervisor::unregisterQueueUnits()
+BmHypervisor::QueueReg *
+BmHypervisor::findUnit(bool net, unsigned idx)
 {
     for (auto &r : queueRegs_) {
-        if (r.handle.valid())
-            sched_->remove(r.handle);
-        if (r.pass)
-            r.pass->unbind();
+        if (r.net == net && r.idx == idx)
+            return &r;
     }
-    queueRegs_.clear();
-    if (conHandle_.valid()) {
-        sched_->remove(conHandle_);
-        conHandle_ = {};
-    }
-    conPollable_.reset();
-    passthroughActive_ = false;
+    return nullptr;
 }
 
 void
 BmHypervisor::wakeQueue(unsigned fn, unsigned q)
 {
-    if (!queueRegs_.empty()) {
-        bool net = int(fn) == netFn_;
-        bool blk = int(fn) == blkFn_;
-        if (net || blk) {
-            // Net shadow queues interleave rx0,tx0,rx1,tx1: both
-            // directions of pair q/2 land on the same unit.
-            unsigned idx = net ? q / 2 : q;
-            for (auto &r : queueRegs_) {
-                if (r.net == net && r.idx == idx) {
-                    if (r.pass)
-                        r.pass->wake();
-                    else if (r.handle.valid())
-                        sched_->wake(r.handle);
-                    return;
-                }
-            }
-        }
-        // Console function (or a pair beyond what registered).
-        if (conHandle_.valid())
-            sched_->wake(conHandle_);
+    if (queueRegs_.empty()) {
+        sched_->wake(handle_);
         return;
     }
-    if (handle_.valid())
-        sched_->wake(handle_);
+    // Net shadow queues interleave rx0,tx0,rx1,tx1: both directions
+    // of pair q/2 land on the same unit. The console function (or
+    // a pair beyond what registered) wakes the console unit.
+    QueueReg *r = nullptr;
+    if (int(fn) == netFn_)
+        r = findUnit(true, q / 2);
+    else if (int(fn) == blkFn_)
+        r = findUnit(false, q);
+    sched_->wake(r ? r->handle : conHandle_);
 }
 
 void
 BmHypervisor::setFlightRecorder(obs::FlightRecorder *fr)
 {
     flight_ = fr;
-    if (!sched_)
-        return;
-    if (handle_.valid())
-        sched_->setFlightRecorder(handle_, fr);
-    for (auto &r : queueRegs_) {
-        if (r.handle.valid())
-            sched_->setFlightRecorder(r.handle, fr);
-    }
-    if (conHandle_.valid())
-        sched_->setFlightRecorder(conHandle_, fr);
+    sched_->setFlightRecorder(handle_, fr);
+    for (auto &r : queueRegs_)
+        sched_->setFlightRecorder(r.handle, fr);
+    sched_->setFlightRecorder(conHandle_, fr);
 }
 
 void
 BmHypervisor::unregisterService()
 {
-    if (!sched_)
-        return;
-    if (handle_.valid()) {
-        sched_->remove(handle_);
-        handle_ = {};
-    }
-    unregisterQueueUnits();
+    sched_->remove(handle_);
+    handle_ = {};
+    for (auto &r : queueRegs_)
+        sched_->remove(r.handle);
+    queueRegs_.clear();
+    sched_->remove(conHandle_);
+    conHandle_ = {};
+    conPollable_.reset();
 }
 
 bool
@@ -381,7 +322,7 @@ BmHypervisor::injectFault(const fault::FaultSpec &spec)
 void
 BmHypervisor::crash()
 {
-    service_->markDead();
+    stopService(true);
     crashed_ = true;
     crashedAt_ = curTick();
     logDebug("bm-hypervisor process crashed");
@@ -390,7 +331,7 @@ BmHypervisor::crash()
 void
 BmHypervisor::replaceService(const std::string &suffix)
 {
-    if (service_->alive())
+    if (service_->pollAlive())
         service_->markDead();
     unregisterService();
     // Respawn and migration are triggered from the control
@@ -426,7 +367,7 @@ void
 BmHypervisor::respawn()
 {
     panic_if(!connected_, name(), ": respawn before first connect");
-    if (service_->alive())
+    if (service_->pollAlive())
         service_->markDead();
     // Republish whatever the dead process had picked up but not
     // completed, in original submission order; the fresh device
@@ -451,31 +392,19 @@ BmHypervisor::respawn()
 
 void
 BmHypervisor::migrateTo(hw::CpuExecutor &core,
-                        sched::PollScheduler *sched,
-                        unsigned core_index)
+                        sched::PollScheduler &sched,
+                        std::optional<unsigned> shared_core)
 {
     panic_if(!connected_, name(), ": migrate before first connect");
-    if (service_->alive())
+    if (service_->pollAlive())
         service_->markDead();
     // Drop the registration with the *source* scheduler before the
-    // member is re-pointed at the target's.
+    // member is re-pointed at the target's (normally the drain or
+    // the crash already did).
     unregisterService();
     core_ = &core;
-    sched_ = sched;
-    schedCore_ = core_index;
-    // Doorbell wakes must target the *new* scheduler (or nothing,
-    // under a dedicated loop on the target).
-    if (sched_) {
-        bond_.setDoorbellWake([this] {
-            if (handle_.valid())
-                sched_->wake(handle_);
-        });
-        bond_.setQueueWake(
-            [this](unsigned fn, unsigned q) { wakeQueue(fn, q); });
-    } else {
-        bond_.setDoorbellWake(nullptr);
-        bond_.setQueueWake(nullptr);
-    }
+    sched_ = &sched;
+    sharedCore_ = shared_core;
     ++migrations_;
     // No recoverQueue here: IoBond::rebase already republished the
     // in-flight window into the target server's memory; the fresh
@@ -510,8 +439,7 @@ BmHypervisor::powerOnGuest()
 void
 BmHypervisor::powerOffGuest()
 {
-    unregisterService();
-    service_->stop();
+    stopService(false);
     connected_ = false;
     board_.powerOff();
 }
@@ -617,7 +545,7 @@ BmHypervisor::onFunctionReady(unsigned fn)
 {
     // Initial bring-up goes through connectBackends, and a dead
     // process cannot react (respawn re-attaches everything).
-    if (!connected_ || !service_->alive())
+    if (!connected_ || !service_->pollAlive())
         return;
     // The guest driver reinitialized after DEVICE_NEEDS_RESET: its
     // rings moved, so the backend views must be rebuilt on the new
@@ -713,7 +641,7 @@ BmHypervisor::liveUpgrade(std::function<void(Tick)> done)
     panic_if(!connected_, name(), ": live upgrade while detached");
     Tick t0 = curTick();
     // Stop taking new work; in-flight block I/O keeps completing.
-    service_->stop();
+    stopService(false);
     finishUpgrade(t0, std::move(done));
 }
 
@@ -728,7 +656,6 @@ BmHypervisor::finishUpgrade(Tick t0, std::function<void(Tick)> done)
         return;
     }
     ++upgrades_;
-    unregisterService();
     auto next = std::make_unique<VirtioIoService>(
         sim_, name() + ".svc.v" + std::to_string(upgrades_ + 1),
         *core_, serviceParams_);

@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,12 @@ class BmHypervisor : public SimObject
      * @param board    the guest's compute board
      * @param bond     the IO-Bond bridging the board to the base
      * @param core     base-board core running this process's PMD
+     * @param sched    the poll scheduler driving the PMD: on pool
+     *                 core @p shared_core, or — without one — on a
+     *                 dedicated lane of @p core. Every service
+     *                 generation (respawn, live upgrade)
+     *                 re-registers, and IO-Bond doorbells post
+     *                 wakes toward it.
      * @param vswitch  the server's DPDK vSwitch
      * @param mac      the guest NIC's MAC (vSwitch port address)
      * @param storage  cloud storage (may be null: no blk function)
@@ -47,7 +54,9 @@ class BmHypervisor : public SimObject
      */
     BmHypervisor(Simulation &sim, std::string name,
                  hw::ComputeBoard &board, iobond::IoBond &bond,
-                 hw::CpuExecutor &core, cloud::VSwitch &vswitch,
+                 hw::CpuExecutor &core, sched::PollScheduler &sched,
+                 std::optional<unsigned> shared_core,
+                 cloud::VSwitch &vswitch,
                  cloud::MacAddr mac,
                  cloud::BlockService *storage = nullptr,
                  cloud::Volume *volume = nullptr,
@@ -67,49 +76,40 @@ class BmHypervisor : public SimObject
     bool connectBackends();
 
     /**
-     * Run this process's backend under a shared poll scheduler on
-     * @p core_index instead of a dedicated busy-poll loop. Must be
-     * called before connectBackends(); every service generation
-     * (respawn, live upgrade) re-registers itself, and IO-Bond
-     * doorbells post wakes toward the scheduler.
-     */
-    void useScheduler(sched::PollScheduler &s, unsigned core_index);
-
-    /**
      * Containment lever forwarded to the scheduler: 1.0 normal,
      * fractional deprioritized (Suspect), 0 starved (Quarantined).
-     * No-op under dedicated polling.
+     * A dedicated lane ignores it (quarantine then acts at the
+     * doorbell only).
      */
     void setPollWeight(double w);
 
+    /** Period of a dedicated lane (0: the scheduler's busy-poll
+     *  period); kept across respawns. */
+    void setPollPeriod(Tick t);
+
     /**
-     * Shared-mode liveness: work is posted but the scheduler has
-     * not visited this backend for @p window — the per-pollable
-     * progress signal the watchdog consumes.
+     * Liveness: work is posted but the scheduler has not visited
+     * this backend for @p window — the per-pollable progress
+     * signal the watchdog consumes in every mode.
      */
     bool pollWedged(Tick window) const;
 
-    /** Scheduler core this guest's backend is bound to (shared
-     *  mode only; meaningless under dedicated polling). */
-    unsigned schedCore() const { return schedCore_; }
-    bool scheduled() const { return sched_ != nullptr; }
-
     /**
      * Negotiated passthrough queue mode: each net pair / blk queue
-     * binds 1:1 to a dedicated backend poller with no shared DWRR
+     * binds 1:1 to its own passthrough lane with no shared DWRR
      * dispatch stage in between (IO-Bond shadow-sync and copyv
      * batching still apply). Takes effect when the queues register
      * (connect, respawn, migration); deprioritizing the guest below
      * full weight — Suspect or Quarantined — demotes the queues
      * back to shared scheduling, and restoring full weight
-     * re-promotes them. Shared-scheduler mode only.
+     * re-promotes them. Shared-pool mode only.
      */
     void setMqPassthrough(bool on);
     bool mqPassthrough() const { return passthroughWanted_; }
-    /** Queue units currently bound to dedicated pollers. */
+    /** Queue units currently on passthrough lanes. */
     unsigned passthroughQueues() const;
-    /** Per-queue scheduling in effect (MQ device under a shared
-     *  scheduler). */
+    /** Per-queue scheduling in effect (MQ device on the shared
+     *  pool). */
     bool perQueueScheduled() const { return !queueRegs_.empty(); }
 
     /**
@@ -174,7 +174,8 @@ class BmHypervisor : public SimObject
      * dead process's unfinished shadow-vring work via IO-Bond's
      * recovery path, then attach a fresh service whose device
      * views resume from the rings' live indices. The watchdog in
-     * BmHiveServer calls this when a guest's heartbeat stops.
+     * BmHiveServer calls this when a guest's backend crashed or
+     * wedged.
      */
     void respawn();
 
@@ -184,7 +185,7 @@ class BmHypervisor : public SimObject
      * the target server, or respawn() rolls it back on the source
      * if the migration aborts.
      */
-    void quiesce() { service_->stop(); }
+    void quiesce() { stopService(false); }
 
     /**
      * Re-home this process onto another base server: respawn minus
@@ -193,11 +194,12 @@ class BmHypervisor : public SimObject
      * BmHypervisor object survives — its vSwitch port, tracers,
      * and retired service generations ride along — but the PMD
      * now runs on @p core and the fresh service generation's
-     * device views resume from the rebased shadow rings. Pass a
-     * null @p sched for a dedicated poll loop on the target.
+     * device views resume from the rebased shadow rings, polled
+     * by @p sched as the constructor's @p sched / @p shared_core
+     * describe.
      */
-    void migrateTo(hw::CpuExecutor &core,
-                   sched::PollScheduler *sched, unsigned core_index);
+    void migrateTo(hw::CpuExecutor &core, sched::PollScheduler &sched,
+                   std::optional<unsigned> shared_core);
 
     /**
      * Move this guest's NIC port onto another server's vSwitch
@@ -249,21 +251,23 @@ class BmHypervisor : public SimObject
     hw::CpuExecutor *core_ = nullptr;
     IoServiceParams serviceParams_;
     sched::PollScheduler *sched_ = nullptr;
-    unsigned schedCore_ = 0;
+    /** Pool core of a shared-mode process; none: dedicated lane. */
+    std::optional<unsigned> sharedCore_;
     sched::PollScheduler::Handle handle_;
     double pollWeight_ = 1.0;
+    Tick pollPeriod_ = 0;
 
     /**
      * One per-queue scheduling unit: a net pair or blk submission
-     * queue registered with the shared scheduler (DWRR schedules
-     * queues, not guests) or bound 1:1 to a passthrough poller.
+     * queue registered on a shared pool core (DWRR schedules
+     * queues, not guests) or alone on a passthrough lane.
      */
     struct QueueReg
     {
         std::unique_ptr<mq::QueuePollable> pollable;
-        sched::PollScheduler::Handle handle; ///< shared mode
-        std::unique_ptr<mq::PassthroughPoller> pass;
-        unsigned core = 0; ///< scheduler core index
+        sched::PollScheduler::Handle handle;
+        bool pass = false; ///< on a passthrough lane
+        unsigned core = 0; ///< pool core index
         bool net = false;  ///< net pair vs blk queue
         unsigned idx = 0;  ///< pair / queue index
     };
@@ -272,7 +276,6 @@ class BmHypervisor : public SimObject
     sched::PollScheduler::Handle conHandle_;
     std::unique_ptr<mq::QueuePollable> conPollable_;
     bool passthroughWanted_ = false;
-    bool passthroughActive_ = false;
     bool connected_ = false;
     bool blkIntegrity_ = false;
     unsigned upgrades_ = 0;
@@ -301,20 +304,28 @@ class BmHypervisor : public SimObject
     /** Point bond and service at the tracers (post-connect). */
     void wireTracers();
 
-    /** Start the current service generation: dedicated poll loop,
-     *  or registration with the shared scheduler. */
+    /** Start the current service generation and register it with
+     *  the scheduler. */
     void startService();
-    /** Per-queue registration (MQ under a shared scheduler):
-     *  spread the queue units across the scheduler's cores. */
+    /** Stop the current service generation (crash: @p dead) and
+     *  drop its scheduler registration. */
+    void stopService(bool dead);
+    /** Per-queue registration (MQ on the shared pool): spread the
+     *  queue units across the pool cores. */
     void registerQueueUnits();
-    void unregisterQueueUnits();
+    /** Re-register the queue units when passthrough should switch
+     *  on or off (mode or weight changed); true when it did. */
+    bool syncPassthrough();
+    /** The unit of net pair / blk queue @p idx, if registered. */
+    QueueReg *findUnit(bool net, unsigned idx);
     /** Route an IO-Bond (fn, q) doorbell to its queue unit. */
     void wakeQueue(unsigned fn, unsigned q);
     /** Retire service_ and attach a fresh generation named
      *  "<name>.svc.<suffix>" on core_; shared by respawn (after
      *  recoverQueue) and migrateTo (after IoBond::rebase). */
     void replaceService(const std::string &suffix);
-    /** Drop the current service's scheduler registration. */
+    /** Drop the current service's scheduler registration (the
+     *  whole service, or every queue unit). */
     void unregisterService();
 
     /** Attach one function's role to service_ if its shadow

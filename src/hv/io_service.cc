@@ -1,6 +1,5 @@
 #include "hv/io_service.hh"
 
-#include <limits>
 #include <utility>
 
 #include "base/logging.hh"
@@ -17,8 +16,6 @@ VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
                                  hw::CpuExecutor &core,
                                  IoServiceParams params)
     : SimObject(sim, std::move(name)), core_(core), params_(params),
-      pollEvent_([this] { poll(); }, this->name() + ".poll",
-                 Event::pollPri),
       txPkts_(metrics().counter(this->name() + ".tx_pkts")),
       rxPkts_(metrics().counter(this->name() + ".rx_pkts")),
       blkIos_(metrics().counter(this->name() + ".blk_ios")),
@@ -44,12 +41,6 @@ VirtioIoService::VirtioIoService(Simulation &sim, std::string name,
           metrics().histogram(this->name() + ".poll.batch", 0, 1024,
                               32))
 {
-}
-
-VirtioIoService::~VirtioIoService()
-{
-    if (pollEvent_.scheduled())
-        eventq().deschedule(&pollEvent_);
 }
 
 void
@@ -168,7 +159,7 @@ VirtioIoService::consoleInput(const std::string &text)
 {
     conPending_.push_back(text);
     if (wakeHook_)
-        wakeHook_();
+        wakeHook_(-1);
 }
 
 void
@@ -269,10 +260,8 @@ VirtioIoService::enqueueRx(const cloud::Packet &pkt, unsigned pair)
         return;
     }
     np.rxPending.push_back(pkt);
-    if (rxWakeHook_)
-        rxWakeHook_(pair);
-    else if (wakeHook_)
-        wakeHook_();
+    if (wakeHook_)
+        wakeHook_(int(pair));
 }
 
 void
@@ -280,24 +269,18 @@ VirtioIoService::start()
 {
     panic_if(running_, name(), ": started twice");
     running_ = true;
-    if (!externallyDriven_)
-        scheduleNext();
 }
 
 void
 VirtioIoService::stop()
 {
     running_ = false;
-    if (pollEvent_.scheduled())
-        eventq().deschedule(&pollEvent_);
 }
 
 void
 VirtioIoService::stall(Tick duration)
 {
     stallUntil_ = std::max(stallUntil_, curTick() + duration);
-    if (running_ && !externallyDriven_)
-        eventq().reschedule(&pollEvent_, stallUntil_);
 }
 
 void
@@ -309,54 +292,18 @@ VirtioIoService::markDead()
     blkInflight_ = 0;
 }
 
-void
-VirtioIoService::scheduleNext()
-{
-    if (!running_)
-        return;
-    Tick next = curTick() + params_.pollPeriod;
-    if (core_.busyUntil() > next)
-        next = core_.busyUntil();
-    if (stallUntil_ > next)
-        next = stallUntil_;
-    eventq().reschedule(&pollEvent_, next);
-}
-
-void
-VirtioIoService::poll()
-{
-    servicePoll(std::numeric_limits<unsigned>::max());
-    scheduleNext();
-}
-
+template <typename Pass>
 unsigned
-VirtioIoService::servicePoll(unsigned budget)
+VirtioIoService::visit(hw::CpuExecutor *reg_core, unsigned budget,
+                       Pass pass)
 {
-    if (params_.pollRegisterCost > 0)
-        core_.charge(params_.pollRegisterCost);
-    // Drain until the budget is spent or a full pass over every
-    // role (and every queue of each role) finds nothing: work that
-    // appears mid-visit (rx buffers replenished, a burst published
-    // while a role was draining) is picked up now rather than
-    // waiting out a poll period. Each queue signals its completion
-    // barrier once per drained pass, not once per chain.
+    if (reg_core && params_.pollRegisterCost > 0)
+        reg_core->charge(params_.pollRegisterCost);
     unsigned work = 0;
     while (work < budget) {
-        unsigned pass = 0;
-        for (auto &np : netPairs_) {
-            if (np.tx && work + pass < budget)
-                pass += pollNetTx(np, budget - work - pass, core_);
-            if (np.rx && work + pass < budget)
-                pass += pollNetRx(np, budget - work - pass, core_);
-        }
-        for (unsigned q = 0; q < blkQueues_.size(); ++q) {
-            if (blkQueues_[q].vq && work + pass < budget)
-                pass += pollBlk(q, budget - work - pass, core_);
-        }
-        if (conTx_ && work + pass < budget)
-            pass += pollConsole(budget - work - pass);
-        work += pass;
-        if (pass == 0)
+        unsigned n = pass(budget - work);
+        work += n;
+        if (n == 0)
             break;
     }
     pollsTotal_.inc();
@@ -364,6 +311,33 @@ VirtioIoService::servicePoll(unsigned budget)
         pollsBusy_.inc();
     pollBatch_.record(double(work));
     return work;
+}
+
+unsigned
+VirtioIoService::servicePoll(unsigned budget)
+{
+    // Drain until the budget is spent or a full pass over every
+    // role (and every queue of each role) finds nothing: work that
+    // appears mid-visit (rx buffers replenished, a burst published
+    // while a role was draining) is picked up now rather than
+    // waiting out a poll period. Each queue signals its completion
+    // barrier once per drained pass, not once per chain.
+    return visit(&core_, budget, [this](unsigned left) {
+        unsigned pass = 0;
+        for (auto &np : netPairs_) {
+            if (np.tx && pass < left)
+                pass += pollNetTx(np, left - pass, core_);
+            if (np.rx && pass < left)
+                pass += pollNetRx(np, left - pass, core_);
+        }
+        for (unsigned q = 0; q < blkQueues_.size(); ++q) {
+            if (blkQueues_[q].vq && pass < left)
+                pass += pollBlk(q, left - pass, core_);
+        }
+        if (conTx_ && pass < left)
+            pass += pollConsole(left - pass);
+        return pass;
+    });
 }
 
 unsigned
@@ -373,24 +347,13 @@ VirtioIoService::servicePollNetPair(unsigned pair, unsigned budget,
     if (pair >= netPairs_.size() || !netPairs_[pair].tx)
         return 0;
     hw::CpuExecutor &exec = core ? *core : core_;
-    if (params_.pollRegisterCost > 0)
-        exec.charge(params_.pollRegisterCost);
     NetPair &np = netPairs_[pair];
-    unsigned work = 0;
-    while (work < budget) {
-        unsigned pass = 0;
-        pass += pollNetTx(np, budget - work - pass, exec);
-        if (work + pass < budget)
-            pass += pollNetRx(np, budget - work - pass, exec);
-        work += pass;
-        if (pass == 0)
-            break;
-    }
-    pollsTotal_.inc();
-    if (work > 0)
-        pollsBusy_.inc();
-    pollBatch_.record(double(work));
-    return work;
+    return visit(&exec, budget, [&](unsigned left) {
+        unsigned pass = pollNetTx(np, left, exec);
+        if (pass < left)
+            pass += pollNetRx(np, left - pass, exec);
+        return pass;
+    });
 }
 
 unsigned
@@ -400,20 +363,9 @@ VirtioIoService::servicePollBlkQueue(unsigned q, unsigned budget,
     if (q >= blkQueues_.size() || !blkQueues_[q].vq)
         return 0;
     hw::CpuExecutor &exec = core ? *core : core_;
-    if (params_.pollRegisterCost > 0)
-        exec.charge(params_.pollRegisterCost);
-    unsigned work = 0;
-    while (work < budget) {
-        unsigned served = pollBlk(q, budget - work, exec);
-        work += served;
-        if (served == 0)
-            break;
-    }
-    pollsTotal_.inc();
-    if (work > 0)
-        pollsBusy_.inc();
-    pollBatch_.record(double(work));
-    return work;
+    return visit(&exec, budget, [&](unsigned left) {
+        return pollBlk(q, left, exec);
+    });
 }
 
 unsigned
@@ -421,17 +373,11 @@ VirtioIoService::servicePollConsole(unsigned budget)
 {
     if (!conTx_)
         return 0;
-    unsigned work = 0;
-    while (work < budget) {
-        unsigned served = pollConsole(budget - work);
-        work += served;
-        if (served == 0)
-            break;
-    }
-    pollsTotal_.inc();
-    if (work > 0)
-        pollsBusy_.inc();
-    return work;
+    // The console is not behind the IO-Bond mailbox fast path: no
+    // register read per visit.
+    return visit(nullptr, budget, [this](unsigned left) {
+        return pollConsole(left);
+    });
 }
 
 unsigned
@@ -452,7 +398,7 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
             // Under a shared scheduler the wait for a poll visit
             // is its own stage; dedicated polling never stamps it
             // and the pickup span carries the whole wait.
-            if (externallyDriven_)
+            if (schedDelayStamps_)
                 netTracer_->stamp(np.txKeyBase | chain.head,
                                   obs::Stage::SchedDelay,
                                   curTick());
@@ -630,7 +576,7 @@ VirtioIoService::pollBlk(unsigned q, unsigned max,
             break;
         ++picked;
         if (blkTracer_) {
-            if (externallyDriven_)
+            if (schedDelayStamps_)
                 blkTracer_->stamp(bq.keyBase | chain->head,
                                   obs::Stage::SchedDelay,
                                   curTick());

@@ -16,16 +16,19 @@
  *    suppresses guest doorbells while polling (NO_NOTIFY), which
  *    IO-Bond's hardware front-end cannot do.
  *
+ * The service never schedules itself: a sched::PollScheduler lane
+ * (dedicated, shared or passthrough) calls its poll entry points.
+ *
  * Multi-queue: the net role holds a vector of rx/tx queue pairs
  * and the blk role a vector of submission queues. Pair/queue 0 is
  * attached through the classic attachNet/attachBlk entry points;
  * further queues through attachNetPair/attachBlkQueue. Each queue
  * can be serviced independently via servicePollNetPair /
- * servicePollBlkQueue with an explicit executor, so a shared DWRR
- * scheduler (or a dedicated passthrough poller) can spread one
- * guest's queues across poll cores — the costs charge to the core
- * actually doing the work, which is what makes multi-queue PPS
- * scale past a single poller.
+ * servicePollBlkQueue with an explicit executor, so shared DWRR
+ * cores (or passthrough lanes) can spread one guest's queues
+ * across poll cores — the costs charge to the core actually doing
+ * the work, which is what makes multi-queue PPS scale past a
+ * single poller.
  */
 
 #ifndef BMHIVE_HV_IO_SERVICE_HH
@@ -57,8 +60,6 @@ namespace hv {
 /** Timing knobs distinguishing the two backend flavours. */
 struct IoServiceParams
 {
-    /** Poll period of the PMD loop. */
-    Tick pollPeriod = paper::backendPollPeriod;
     /** Register read at the top of each poll (bm: mailbox). */
     Tick pollRegisterCost = 0;
     /** Register write per completion batch (bm: tail register). */
@@ -102,7 +103,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
   public:
     VirtioIoService(Simulation &sim, std::string name,
                     hw::CpuExecutor &core, IoServiceParams params);
-    ~VirtioIoService() override;
 
     /**
      * Attach the network role: device views of the guest's rx/tx
@@ -166,9 +166,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
     /** Per-packet processing cost (PMD burst mode amortizes it). */
     void setPerPacketCost(Tick t) { params_.perPacketCost = t; }
 
-    /** Poll period of the PMD loop (ablation studies). */
-    void setPollPeriod(Tick t) { params_.pollPeriod = t; }
-
     /**
      * Run block completions on @p core instead of the main poll
      * core (the vm baseline uses a separate, preemptible
@@ -176,36 +173,26 @@ class VirtioIoService : public SimObject, public sched::Pollable
      */
     void setBlkCore(hw::CpuExecutor *core) { blkCore_ = core; }
 
-    /** Begin the poll loop. */
+    /** Accept poll visits (pollAlive() turns true). */
     void start();
 
     /**
-     * Hand the poll loop to an external driver (the shared
-     * PollScheduler): start()/stall() stop scheduling the
-     * dedicated poll event and the driver calls servicePoll()
-     * instead. Must be set before start().
+     * Stamp a SchedDelay span before PollPickup: set when shared
+     * cores or passthrough lanes dispatch this backend, so the
+     * dispatch wait is its own stage. A dedicated lane's whole
+     * wait stays in poll pickup.
      */
-    void setExternallyDriven(bool b) { externallyDriven_ = b; }
-    bool externallyDriven() const { return externallyDriven_; }
+    void setSchedDelayStamps(bool on) { schedDelayStamps_ = on; }
 
     /**
      * Called whenever backend-side work arrives outside the guest
-     * doorbell path (vSwitch rx delivery, console input) so an
-     * external driver can wake a sleeping poll core.
+     * doorbell path — vSwitch rx delivery onto queue pair @p pair,
+     * or console input (@p pair -1) — so the poll scheduler can
+     * wake the unit serving it.
      */
-    void setWakeHook(std::function<void()> hook)
+    void setWakeHook(std::function<void(int pair)> hook)
     {
         wakeHook_ = std::move(hook);
-    }
-
-    /**
-     * Per-pair variant for multi-queue backends: rx delivery onto
-     * pair @p k wakes only that pair's pollable. When set it
-     * replaces the coarse hook for steered deliveries.
-     */
-    void setRxWakeHook(std::function<void(unsigned)> hook)
-    {
-        rxWakeHook_ = std::move(hook);
     }
 
     // --- sched::Pollable ---
@@ -259,12 +246,13 @@ class VirtioIoService : public SimObject, public sched::Pollable
 
     /** Block I/Os submitted but not yet completed. */
     std::uint64_t blkInflight() const { return blkInflight_; }
-    /** Stop polling (guest powered off / destroyed). */
+    /** Stop accepting poll visits (guest powered off /
+     *  destroyed, migration drain). */
     void stop();
 
     /**
      * The poll core is preempted (bm-hypervisor stall fault): no
-     * poll iteration runs until @p duration elapses. Stalls extend
+     * poll visit runs until @p duration elapses. Stalls extend
      * monotonically; in-flight timers keep running, so a stall long
      * enough trips the block timeout path.
      */
@@ -278,8 +266,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
      * without double completion.
      */
     void markDead();
-
-    bool alive() const { return running_; }
 
     std::uint64_t blkTimeouts() const { return blkTimeouts_.value(); }
     std::uint64_t blkRetries() const { return blkRetries_.value(); }
@@ -422,7 +408,15 @@ class VirtioIoService : public SimObject, public sched::Pollable
         unsigned attempt = 0;
     };
 
-    void poll();
+    /**
+     * One poll visit: charge the mailbox read to @p reg_core
+     * (null: no charge), repeat @p pass with the remaining budget
+     * until the budget is spent or a pass finds nothing, then
+     * account the visit under poll.total/busy/batch.
+     */
+    template <typename Pass>
+    unsigned visit(hw::CpuExecutor *reg_core, unsigned budget,
+                   Pass pass);
     unsigned pollNetTx(NetPair &np, unsigned max,
                        hw::CpuExecutor &core);
     unsigned pollNetRx(NetPair &np, unsigned max,
@@ -430,7 +424,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
     unsigned pollBlk(unsigned q, unsigned max,
                      hw::CpuExecutor &core);
     unsigned pollConsole(unsigned max);
-    void scheduleNext();
     void submitBlkAttempt(std::uint64_t seq, Tick copy_cost);
     void onBlkServiceDone(std::uint64_t seq, std::uint64_t gen,
                           bool wire_corrupt);
@@ -474,10 +467,9 @@ class VirtioIoService : public SimObject, public sched::Pollable
         cloud::DualRateLimiter::unlimited();
 
     bool running_ = false;
-    bool externallyDriven_ = false;
+    bool schedDelayStamps_ = false;
     bool blkIntegrity_ = false;
-    std::function<void()> wakeHook_;
-    std::function<void(unsigned)> rxWakeHook_;
+    std::function<void(int)> wakeHook_;
     std::uint64_t blkInflight_ = 0;
     std::map<std::uint64_t, PendingBlk> blkPending_;
     std::uint64_t blkNextSeq_ = 0;
@@ -485,7 +477,6 @@ class VirtioIoService : public SimObject, public sched::Pollable
      *  timers carrying an older generation are ignored. */
     std::uint64_t blkGen_ = 0;
     Tick stallUntil_ = 0;
-    EventFunctionWrapper pollEvent_;
     /** Registry-backed: accessors and exports read the same cell. */
     Counter &txPkts_;
     Counter &rxPkts_;

@@ -1000,8 +1000,6 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
     // only that queue's pollable is woken.
     if (queueWake_)
         queueWake_(fi, q);
-    else if (doorbellWake_)
-        doorbellWake_();
     // The notification crosses to the mailbox side of the FPGA
     // before descriptor fetch begins.
     auto *ev = new OneShotEvent(
@@ -1123,8 +1121,6 @@ IoBond::publishBurst(unsigned fn, unsigned q,
     // so swept-up chains never wait on a sleeping core.
     if (queueWake_)
         queueWake_(fn, q);
-    else if (doorbellWake_)
-        doorbellWake_();
 }
 
 bool

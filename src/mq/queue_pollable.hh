@@ -3,32 +3,20 @@
  * Per-queue scheduling units for multi-queue virtio backends.
  *
  * QueuePollable adapts one virtqueue's poll entry point to
- * sched::Pollable so the DWRR scheduler schedules queues, not
+ * sched::Pollable so the poll scheduler schedules queues, not
  * guests: a 4-queue NIC registers four pollables spread across
  * poll cores, each with its own weight (containment) and its own
- * served counter / flight-recorder attribution.
- *
- * PassthroughPoller is the negotiated fast path beyond shared
- * dispatch (the software analog of NVMe I/O-queue passthrough): a
- * dedicated queue pair binds 1:1 to a backend poller that
- * self-schedules on its core with no DWRR stage in between.
- * IO-Bond shadow-sync and copyv batching still apply — only the
- * shared scheduling stage is bypassed. Quarantine demotes a
- * passthrough queue back to shared mode by unbinding it.
+ * served counter / flight-recorder attribution — or, under
+ * negotiated passthrough, each alone on its own passthrough lane.
  */
 
 #ifndef BMHIVE_MQ_QUEUE_POLLABLE_HH
 #define BMHIVE_MQ_QUEUE_POLLABLE_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 
-#include "base/paper_constants.hh"
-#include "base/stats.hh"
-#include "hw/cpu_executor.hh"
 #include "sched/pollable.hh"
-#include "sim/sim_object.hh"
 
 namespace bmhive {
 namespace mq {
@@ -37,43 +25,32 @@ namespace mq {
  * One virtqueue (or queue pair) as a schedulable unit. The owner
  * provides the poll thunk — typically a bound call into its
  * VirtioIoService that services exactly this queue and charges the
- * visiting scheduler core — plus optional liveness and stall
- * delegates mirroring the owning backend's state.
+ * visiting scheduler core — and the owning backend, whose liveness
+ * and stall state the unit mirrors.
  */
 class QueuePollable : public sched::Pollable
 {
   public:
     using PollFn = std::function<unsigned(unsigned budget)>;
 
-    QueuePollable(std::string name, PollFn poll)
-        : name_(std::move(name)), poll_(std::move(poll))
+    QueuePollable(std::string name, PollFn poll,
+                  const sched::Pollable &owner)
+        : name_(std::move(name)), poll_(std::move(poll)),
+          owner_(owner)
     {}
-
-    void setAlive(std::function<bool()> f) { alive_ = std::move(f); }
-    void
-    setBlockedUntil(std::function<Tick()> f)
-    {
-        blocked_ = std::move(f);
-    }
-    /** Swap the poll thunk (service respawn / live upgrade). */
-    void setPoll(PollFn poll) { poll_ = std::move(poll); }
 
     unsigned
     servicePoll(unsigned budget) override
     {
-        return poll_ ? poll_(budget) : 0;
+        return poll_(budget);
     }
 
-    bool
-    pollAlive() const override
-    {
-        return alive_ ? alive_() : bool(poll_);
-    }
+    bool pollAlive() const override { return owner_.pollAlive(); }
 
     Tick
     pollBlockedUntil() const override
     {
-        return blocked_ ? blocked_() : 0;
+        return owner_.pollBlockedUntil();
     }
 
     const std::string &pollableName() const override { return name_; }
@@ -81,64 +58,7 @@ class QueuePollable : public sched::Pollable
   private:
     std::string name_;
     PollFn poll_;
-    std::function<bool()> alive_;
-    std::function<Tick()> blocked_;
-};
-
-struct PassthroughPollerParams
-{
-    /** Busy-poll period of the dedicated poller. */
-    Tick pollPeriod = paper::bmPollPeriod;
-    /** Idle-backoff ceiling (same governor shape as the shared
-     *  scheduler, minus the sleep state: a dedicated poller never
-     *  fully parks while bound — that is the passthrough deal). */
-    Tick maxBackoff = paper::schedMaxBackoff;
-    /** Doorbell-to-poll latency when backed off. */
-    Tick wakeLatency = paper::schedWakeLatency;
-    /** Items serviced per visit. */
-    unsigned budget = 64;
-};
-
-/**
- * Dedicated 1:1 poller for a passthrough queue. bind() starts a
- * self-rescheduling poll loop on the poller's core; unbind()
- * (quarantine demotion, teardown) stops it. wake() is the
- * doorbell hook — it snaps a backed-off poller back to the busy
- * period.
- */
-class PassthroughPoller : public SimObject
-{
-  public:
-    PassthroughPoller(Simulation &sim, std::string name,
-                      hw::CpuExecutor &core,
-                      PassthroughPollerParams params = {});
-    ~PassthroughPoller() override;
-
-    /** Bind @p poll 1:1 to this poller and start polling. */
-    void bind(QueuePollable::PollFn poll);
-    /** Drop the binding and stop polling. */
-    void unbind();
-    bool bound() const { return bool(poll_); }
-
-    /** Doorbell: expedite the next visit. */
-    void wake();
-
-    hw::CpuExecutor &core() { return core_; }
-    std::uint64_t rounds() const { return rounds_.value(); }
-    std::uint64_t items() const { return items_.value(); }
-
-  private:
-    void runRound();
-
-    hw::CpuExecutor &core_;
-    PassthroughPollerParams params_;
-    QueuePollable::PollFn poll_;
-    Tick period_;
-    Counter &rounds_;
-    Counter &busy_;
-    Counter &items_;
-    Counter &wakes_;
-    std::unique_ptr<EventFunctionWrapper> pollEvent_;
+    const sched::Pollable &owner_;
 };
 
 } // namespace mq

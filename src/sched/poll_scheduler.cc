@@ -1,6 +1,7 @@
 #include "sched/poll_scheduler.hh"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "base/logging.hh"
@@ -9,19 +10,15 @@ namespace bmhive {
 namespace sched {
 
 PollScheduler::PollScheduler(Simulation &sim, std::string name,
-                             std::vector<hw::CpuExecutor *> cores,
+                             std::vector<hw::CpuExecutor *> pool,
                              PollSchedulerParams params)
-    : SimObject(sim, std::move(name)), params_(params)
+    : SimObject(sim, std::move(name)), params_(params),
+      poolSize_(unsigned(pool.size()))
 {
-    fatal_if(cores.empty(), this->name(),
-             ": a poll scheduler needs at least one core");
     fatal_if(params_.quantum == 0, this->name(),
              ": DWRR quantum must be positive");
-    cores_.resize(cores.size());
-    for (unsigned i = 0; i < cores.size(); ++i) {
-        Core &c = cores_[i];
-        c.exec = cores[i];
-        c.period = params_.pollPeriod;
+    for (unsigned i = 0; i < pool.size(); ++i) {
+        Core &c = newCore(LaneKind::Shared, *pool[i]);
         std::string base =
             this->name() + ".core" + std::to_string(i);
         c.rounds = &metrics().counter(base + ".rounds");
@@ -33,10 +30,23 @@ PollScheduler::PollScheduler(Simulation &sim, std::string name,
         c.roundItems =
             &metrics().histogram(base + ".round_items", 0, 1024, 32);
         c.wakeToPoll = &metrics().latency(base + ".wake_to_poll");
-        c.roundEvent = std::make_unique<EventFunctionWrapper>(
-            [this, i] { runRound(i); }, base + ".round",
-            Event::pollPri);
     }
+}
+
+PollScheduler::Core &
+PollScheduler::newCore(LaneKind kind, hw::CpuExecutor &exec)
+{
+    auto ci = unsigned(cores_.size());
+    Core &c = cores_.emplace_back();
+    c.kind = kind;
+    c.exec = &exec;
+    c.period = params_.pollPeriod;
+    c.roundEvent = std::make_unique<EventFunctionWrapper>(
+        [this, ci] { runRound(ci); },
+        name() + (kind == LaneKind::Shared ? ".core" : ".lane") +
+            std::to_string(ci) + ".round",
+        Event::pollPri);
+    return c;
 }
 
 PollScheduler::~PollScheduler()
@@ -50,15 +60,16 @@ PollScheduler::~PollScheduler()
 hw::CpuExecutor &
 PollScheduler::coreExecutor(unsigned i)
 {
-    panic_if(i >= cores_.size(), name(), ": bad core ", i);
+    panic_if(i >= poolSize_, name(), ": bad core ", i);
     return *cores_[i].exec;
 }
 
 unsigned
 PollScheduler::leastLoadedCore() const
 {
+    panic_if(poolSize_ == 0, name(), ": no shared pool");
     unsigned best = 0;
-    for (unsigned i = 1; i < cores_.size(); ++i) {
+    for (unsigned i = 1; i < poolSize_; ++i) {
         if (cores_[i].members.size() <
             cores_[best].members.size())
             best = i;
@@ -69,7 +80,7 @@ PollScheduler::leastLoadedCore() const
 PollScheduler::Handle
 PollScheduler::add(unsigned core, Pollable &p, double weight)
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     Core &c = cores_[core];
     Member m;
     m.id = nextId_++;
@@ -90,6 +101,45 @@ PollScheduler::add(unsigned core, Pollable &p, double weight)
     return Handle{core, m.id};
 }
 
+PollScheduler::Handle
+PollScheduler::addPinned(LaneKind kind, hw::CpuExecutor &exec,
+                         Pollable &p, Tick period)
+{
+    panic_if(kind == LaneKind::Shared, name(),
+             ": shared pollables join a pool core");
+    unsigned ci = poolSize_;
+    while (ci < cores_.size() && !cores_[ci].members.empty())
+        ++ci;
+    Core &c = ci < cores_.size() ? cores_[ci] : newCore(kind, exec);
+    c.kind = kind;
+    c.exec = &exec;
+    c.period = period && kind == LaneKind::Dedicated
+                   ? period
+                   : params_.pollPeriod;
+    c.rounds = c.busy = c.items = c.wakes = nullptr;
+    if (kind == LaneKind::Passthrough) {
+        // Named after the pollable, so the counters of a queue
+        // unit accumulate across respawns and demote/promote
+        // cycles whichever lane carries it.
+        std::string base = p.pollableName() + ".pass";
+        c.rounds = &metrics().counter(base + ".rounds");
+        c.busy = &metrics().counter(base + ".busy_rounds");
+        c.items = &metrics().counter(base + ".items");
+        c.wakes = &metrics().counter(base + ".wakes");
+    }
+    Member m;
+    m.id = nextId_++;
+    m.pollable = &p;
+    c.members.push_back(m);
+    Tick at = curTick() + params_.wakeLatency;
+    if (kind == LaneKind::Dedicated) {
+        at = std::max({curTick() + c.period, exec.busyUntil(),
+                       p.pollBlockedUntil()});
+    }
+    kick(ci, at);
+    return Handle{ci, m.id};
+}
+
 void
 PollScheduler::remove(Handle h)
 {
@@ -97,11 +147,14 @@ PollScheduler::remove(Handle h)
         return;
     Core &c = cores_[h.core];
     for (auto it = c.members.begin(); it != c.members.end(); ++it) {
-        if (it->id == h.id) {
-            c.members.erase(it);
+        if (it->id != h.id)
+            continue;
+        c.members.erase(it);
+        if (c.kind == LaneKind::Shared)
             c.pollables->set(double(c.members.size()));
-            return;
-        }
+        else if (c.roundEvent->scheduled())
+            eventq().deschedule(c.roundEvent.get());
+        return;
     }
 }
 
@@ -109,7 +162,7 @@ void
 PollScheduler::setWeight(Handle h, double w)
 {
     Member *m = find(h);
-    if (!m)
+    if (!m || cores_[h.core].kind != LaneKind::Shared)
         return;
     m->weight = w;
     if (w <= 0.0) {
@@ -122,6 +175,13 @@ PollScheduler::setWeight(Handle h, double w)
     // weight to come back; the restore is its wake.
     if (m->wakePending)
         expedite(h.core, true);
+}
+
+void
+PollScheduler::setPeriod(Handle h, Tick period)
+{
+    if (find(h) && cores_[h.core].kind == LaneKind::Dedicated)
+        cores_[h.core].period = period;
 }
 
 void
@@ -141,6 +201,15 @@ PollScheduler::wake(Handle h)
     if (!m->wakePending) {
         m->wakePending = true;
         m->postedAt = curTick();
+    }
+    Core &c = cores_[h.core];
+    if (c.kind == LaneKind::Dedicated)
+        return; // polls on its fixed period regardless
+    if (c.kind == LaneKind::Passthrough) {
+        c.wakes->inc();
+        c.period = params_.pollPeriod;
+        kick(h.core, curTick() + params_.wakeLatency);
+        return;
     }
     if (m->weight <= 0.0)
         return; // starved by containment: no wake for you
@@ -185,6 +254,10 @@ void
 PollScheduler::runRound(unsigned ci)
 {
     Core &c = cores_[ci];
+    if (c.kind != LaneKind::Shared) {
+        runPinned(ci);
+        return;
+    }
     const Tick now = curTick();
     c.rounds->inc();
     unsigned total = 0;
@@ -213,7 +286,6 @@ PollScheduler::runRound(unsigned ci)
         }
         unsigned served = m.pollable->servicePoll(budget);
         ++m.visits;
-        m.lastServiced = now;
         if (served < budget)
             m.deficit = 0.0;
         else
@@ -272,6 +344,46 @@ PollScheduler::runRound(unsigned ci)
     kick(ci, at);
 }
 
+void
+PollScheduler::runPinned(unsigned ci)
+{
+    Core &c = cores_[ci];
+    if (c.members.empty() || !c.members[0].pollable->pollAlive())
+        return; // idle until a live member registers
+    const Tick now = curTick();
+    Member &m = c.members[0];
+    Tick blocked = m.pollable->pollBlockedUntil();
+    if (blocked > now) {
+        // Stalled: resume exactly at the stall end instead of
+        // stepping through the poll grid.
+        kick(ci, blocked);
+        return;
+    }
+    const std::uint64_t id = m.id;
+    const bool dedicated = c.kind == LaneKind::Dedicated;
+    unsigned served = m.pollable->servicePoll(
+        dedicated ? std::numeric_limits<unsigned>::max()
+                  : passthroughBudget);
+    if (c.members.empty() || c.members[0].id != id)
+        return; // the member left during its own visit
+    ++m.visits;
+    m.wakePending = false;
+    if (!dedicated) {
+        c.rounds->inc();
+        c.items->inc(served);
+        if (served > 0) {
+            c.busy->inc();
+            c.period = params_.pollPeriod;
+        } else {
+            // Idle: back off toward the ceiling but keep visiting;
+            // a passthrough lane never sleeps.
+            c.period = std::min(c.period * 2, params_.maxBackoff);
+        }
+    }
+    kick(ci, std::max({now + c.period, c.exec->busyUntil(),
+                       m.pollable->pollBlockedUntil()}));
+}
+
 PollScheduler::Member *
 PollScheduler::find(Handle h)
 {
@@ -309,59 +421,50 @@ PollScheduler::wedged(Handle h, Tick window) const
 std::uint64_t
 PollScheduler::rounds(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     return cores_[core].rounds->value();
 }
 
 std::uint64_t
 PollScheduler::busyRounds(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     return cores_[core].busy->value();
 }
 
 std::uint64_t
 PollScheduler::wakes(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     return cores_[core].wakes->value();
 }
 
 std::uint64_t
 PollScheduler::sleeps(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     return cores_[core].sleeps->value();
 }
 
 unsigned
 PollScheduler::pollablesOn(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     return unsigned(cores_[core].members.size());
 }
 
 double
 PollScheduler::busyRatio(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     std::uint64_t r = cores_[core].rounds->value();
     return r ? double(cores_[core].busy->value()) / double(r) : 0.0;
-}
-
-std::uint64_t
-PollScheduler::totalRounds() const
-{
-    std::uint64_t sum = 0;
-    for (const Core &c : cores_)
-        sum += c.rounds->value();
-    return sum;
 }
 
 const LatencyRecorder &
 PollScheduler::wakeToPoll(unsigned core) const
 {
-    panic_if(core >= cores_.size(), name(), ": bad core ", core);
+    panic_if(core >= poolSize_, name(), ": bad core ", core);
     return *cores_[core].wakeToPoll;
 }
 

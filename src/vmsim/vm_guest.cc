@@ -89,7 +89,6 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
 
     // vhost-user backend service over the guest's own memory.
     hv::IoServiceParams sp;
-    sp.pollPeriod = paper::backendPollPeriod;
     sp.pollRegisterCost = 0;         // rings are in shared memory
     sp.completionRegisterCost = 0;
     sp.perPacketCost = nsToTicks(100);     // tuned vhost PMD fwd
@@ -100,6 +99,12 @@ VmGuest::VmGuest(Simulation &sim, std::string name,
     service_ = std::make_unique<hv::VirtioIoService>(
         sim, this->name() + ".vhost_svc", *backendCore_, sp);
     service_->setBlkCore(ioThread_.get());
+    // Its PMD is one dedicated lane on the backend core.
+    sched::PollSchedulerParams pp;
+    pp.pollPeriod = paper::backendPollPeriod;
+    poller_ = std::make_unique<sched::PollScheduler>(
+        sim, this->name() + ".vhost_poll",
+        std::vector<hw::CpuExecutor *>{}, pp);
 
     port_ = vswitch_.addPort(
         params_.mac,
@@ -182,6 +187,8 @@ VmGuest::connectBackends()
     if (any) {
         connected_ = true;
         service_->start();
+        poller_->addPinned(sched::LaneKind::Dedicated, *backendCore_,
+                           *service_);
     }
     return any;
 }

@@ -12,6 +12,8 @@
  *    vCPUs ride four submission queues and four vectors;
  *  - passthrough bind/unbind round-trip, including demotion to
  *    shared scheduling when the guest is deprioritized;
+ *  - passthrough lanes stop serving a crashed, drained or stalled
+ *    backend, like shared cores do;
  *  - hostile out-of-range queue selectors are contained faults;
  *  - same-seed 4-queue runs produce byte-identical metrics;
  *  - doorbell-budget regression: a 4-queue guest gets the same
@@ -26,6 +28,7 @@
 
 #include "bench/common.hh"
 #include "core/instance_catalog.hh"
+#include "fault/fault.hh"
 #include "fault/guest_fault.hh"
 #include "mq/rss.hh"
 #include "pci/config_space.hh"
@@ -63,11 +66,11 @@ netBar(bench::Testbed &bed, unsigned guest = 0)
 }
 
 /** Blast @p count packets a->b over @p flows flows; returns the
- *  number delivered to b. */
+ *  number delivered to b within @p window. */
 unsigned
 exchange(bench::Testbed &bed, workloads::GuestContext &a,
          workloads::GuestContext &b, unsigned count,
-         unsigned flows = 4)
+         unsigned flows = 4, Tick window = msToTicks(10))
 {
     unsigned received = 0;
     b.net->setRxHandler(
@@ -83,7 +86,7 @@ exchange(bench::Testbed &bed, workloads::GuestContext &a,
         EXPECT_TRUE(a.net->sendPacket(p, false, a.cpu(1)));
     }
     a.net->kickTx(a.cpu(1));
-    bed.sim.run(bed.sim.now() + msToTicks(10));
+    bed.sim.run(bed.sim.now() + window);
     b.net->setRxHandler(nullptr);
     return received;
 }
@@ -271,6 +274,48 @@ TEST(MqPassthrough, BindUnbindRoundTrip)
               std::string::npos);
     EXPECT_NE(json.find(".mq.passthrough_demotions"),
               std::string::npos);
+}
+
+TEST(MqPassthrough, CrashDrainAndStallStopQueueService)
+{
+    bench::Testbed bed(9131, mqParams(2, 2, 2, true));
+    auto a = bed.bmGuest(0xA4, 16);
+    auto b = bed.bmGuest(0xB4, 16);
+    bed.sim.run(bed.sim.now() + msToTicks(1));
+    auto &hv = bed.server.guest(0).hypervisor();
+    ASSERT_EQ(hv.passthroughQueues(), 4u);
+    ASSERT_EQ(exchange(bed, a, b, 20), 20u);
+
+    // A crashed process serves nothing until respawn.
+    hv.crash();
+    std::uint64_t tx = hv.service().txPackets();
+    EXPECT_EQ(exchange(bed, a, b, 20), 0u);
+    EXPECT_EQ(hv.service().txPackets(), tx);
+    hv.respawn();
+    bed.sim.run(bed.sim.now() + msToTicks(1)); // re-serves the 20
+    EXPECT_EQ(exchange(bed, a, b, 20), 20u);
+
+    // A drained process (migration) serves nothing until it is
+    // restarted — here by the rollback respawn.
+    hv.quiesce();
+    tx = hv.service().txPackets();
+    EXPECT_EQ(exchange(bed, a, b, 20), 0u);
+    EXPECT_EQ(hv.service().txPackets(), tx);
+    hv.respawn();
+    bed.sim.run(bed.sim.now() + msToTicks(1));
+    EXPECT_EQ(exchange(bed, a, b, 20), 20u);
+
+    // A stalled process serves nothing until the stall ends.
+    fault::FaultSpec stall;
+    stall.kind = fault::FaultKind::HvStall;
+    stall.duration = msToTicks(20);
+    Tick stall_end = bed.sim.now() + stall.duration;
+    ASSERT_TRUE(bed.sim.faults().deliver(hv.name(), stall));
+    tx = hv.service().txPackets();
+    EXPECT_EQ(exchange(bed, a, b, 20), 0u);
+    EXPECT_EQ(hv.service().txPackets(), tx);
+    bed.sim.run(stall_end + msToTicks(1));
+    EXPECT_EQ(hv.service().txPackets(), tx + 20);
 }
 
 TEST(MqHostile, OutOfRangeQueueSelectorIsContained)

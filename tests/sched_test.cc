@@ -2,15 +2,18 @@
  * @file
  * PollScheduler tests: DWRR fairness and batching, the adaptive
  * poll governor (busy -> backoff -> sleep and bounded-latency
- * wake), containment weights, per-pollable wedge detection — plus
- * shared-mode BmHiveServer integration: end-to-end I/O on a
- * 2-core pool, scheduler-level quarantine starvation, and
- * same-seed determinism of the metrics snapshot.
+ * wake), containment weights, per-pollable wedge detection,
+ * dedicated lanes (first poll, stall end, wakes, shared
+ * executors) — plus BmHiveServer integration: end-to-end I/O on a
+ * 2-core pool, scheduler-level quarantine starvation, same-seed
+ * determinism of the metrics snapshot, and the watchdog's one
+ * liveness signal under dedicated polling.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "cloud/vswitch.hh"
 #include "core/bmhive_server.hh"
 #include "core/instance_catalog.hh"
+#include "fault/fault.hh"
 #include "sched/poll_scheduler.hh"
 #include "workloads/guest_iface.hh"
 #include "workloads/net_perf.hh"
@@ -26,6 +30,7 @@
 namespace bmhive {
 namespace {
 
+using sched::LaneKind;
 using sched::PollScheduler;
 using sched::PollSchedulerParams;
 
@@ -223,6 +228,119 @@ TEST_F(SchedTest, AddKicksASleepingCore)
     s.add(0, a, 1.0); // registration alone must discover the work
     sim.run(sim.now() + msToTicks(1));
     EXPECT_EQ(a.served_, 4u);
+}
+
+// --- Dedicated lanes ---
+
+TEST_F(SchedTest, DedicatedLaneResumesExactlyAtTheStallEnd)
+{
+    PollScheduler s(sim, "lanes", {});
+    FakePollable a("a", &sim);
+    Tick t0 = sim.now();
+    s.addPinned(LaneKind::Dedicated, *cpus[0], a);
+    sim.run(t0 + usToTicks(10));
+    // First poll one period after registration, then every period.
+    EXPECT_EQ(a.polls_, 5u);
+    EXPECT_EQ(a.lastPollAt_, t0 + usToTicks(10));
+
+    // An odd-length stall: no poll inside it, and the next one
+    // lands exactly at its end, off the 2 us grid.
+    Tick stall_end = sim.now() + usToTicks(37);
+    a.blockedUntil_ = stall_end;
+    sim.run(stall_end - 1);
+    EXPECT_EQ(a.polls_, 5u);
+    sim.run(stall_end);
+    EXPECT_EQ(a.polls_, 6u);
+    EXPECT_EQ(a.lastPollAt_, stall_end);
+    sim.run(stall_end + usToTicks(2));
+    EXPECT_EQ(a.polls_, 7u);
+}
+
+TEST_F(SchedTest, DedicatedLaneIgnoresWakesAndWeights)
+{
+    PollScheduler s(sim, "lanes", {});
+    FakePollable a("a", &sim);
+    Tick t0 = sim.now();
+    auto h = s.addPinned(LaneKind::Dedicated, *cpus[0], a);
+    sim.run(t0 + usToTicks(3));
+    ASSERT_EQ(a.polls_, 1u);
+    // Quarantine acts at the doorbell only: weight 0 does not
+    // starve a dedicated lane, and a wake does not move its round.
+    s.setWeight(h, 0.0);
+    a.pending_ = 4;
+    s.wake(h);
+    sim.run(t0 + usToTicks(4) - 1);
+    EXPECT_EQ(a.polls_, 1u);
+    EXPECT_TRUE(s.wedged(h, 0)); // posted, not yet visited
+    sim.run(t0 + usToTicks(4));
+    EXPECT_EQ(a.served_, 4u);
+    EXPECT_EQ(a.lastBudget_, std::numeric_limits<unsigned>::max());
+    EXPECT_FALSE(s.wedged(h, 0));
+    // The service counts its own polls; lanes add no metrics.
+    EXPECT_EQ(sim.metrics().toJson().find("lanes."),
+              std::string::npos);
+}
+
+TEST_F(SchedTest, DedicatedLanesSharingACoreKeepSeparateRounds)
+{
+    PollScheduler s(sim, "lanes", {});
+    FakePollable a("a", &sim), b("b", &sim);
+    Tick t0 = sim.now();
+    s.addPinned(LaneKind::Dedicated, *cpus[0], a);
+    sim.run(t0 + usToTicks(1));
+    s.addPinned(LaneKind::Dedicated, *cpus[0], b);
+    sim.run(t0 + usToTicks(5));
+    a.blockedUntil_ = t0 + usToTicks(14);
+    sim.run(t0 + usToTicks(21));
+    // b keeps its own phase (3, 5, ..., 21 us) through a's stall;
+    // a polled at 2 and 4 us, then 14, 16, 18, 20 us.
+    EXPECT_EQ(b.polls_, 10u);
+    EXPECT_EQ(b.lastPollAt_, t0 + usToTicks(21));
+    EXPECT_EQ(a.polls_, 6u);
+    EXPECT_EQ(a.lastPollAt_, t0 + usToTicks(20));
+}
+
+TEST(DedicatedWatchdog, CrashRespawnsButIdleStallDoesNot)
+{
+    Simulation sim(13);
+    cloud::VSwitch vswitch(sim, "vs");
+    cloud::BlockService storage(sim, "st");
+    core::BmServerParams p;
+    p.maxBoards = 2;
+    core::BmHiveServer server(sim, "srv", vswitch, &storage, p);
+    auto &g = server.provision(core::InstanceCatalog::evaluated(),
+                               0xa);
+    sim.run(sim.now() + msToTicks(1));
+    const Tick period = msToTicks(1);
+    server.startWatchdog(period);
+    sim.run(sim.now() + usToTicks(100));
+
+    // A crash is respawned at the next sweep, within one period.
+    g.hypervisor().crash();
+    sim.run(sim.now() + period);
+    EXPECT_EQ(server.watchdogRespawns(), 1u);
+    EXPECT_FALSE(g.hypervisor().crashed());
+
+    // An idle guest stalled past whole periods posted no work, so
+    // it missed no progress and is left alone.
+    fault::FaultSpec stall;
+    stall.kind = fault::FaultKind::HvStall;
+    stall.duration = 3 * period;
+    ASSERT_TRUE(sim.faults().deliver(g.hypervisor().name(), stall));
+    sim.run(sim.now() + 4 * period);
+    EXPECT_EQ(server.watchdogRespawns(), 1u);
+
+    // Work posted during a stall and left waiting a whole period
+    // is a wedge.
+    ASSERT_TRUE(sim.faults().deliver(g.hypervisor().name(), stall));
+    cloud::Packet pk;
+    pk.src = 0xa;
+    pk.dst = 0xb;
+    pk.len = 64;
+    ASSERT_TRUE(g.net().sendPacket(pk, false, g.os().cpu(1)));
+    g.net().kickTx(g.os().cpu(1));
+    sim.run(sim.now() + 3 * period);
+    EXPECT_EQ(server.watchdogRespawns(), 2u);
 }
 
 // --- Shared-mode server integration ---

@@ -108,14 +108,16 @@ SIM_KINDS = {
 
 
 # Multi-queue family (DESIGN.md §17). Queue indices are part of the
-# name ("...hv.mq.pass.netp0.rounds", "...sched.served.<hv>.mq.blkq3"),
+# name ("...hv.mq.netp0.pass.rounds", "...sched.served.<hv>.mq.blkq3"),
 # so these are pinned by pattern rather than literal suffix. All are
 # counters; a shape change is a schema break.
 MQ_PATTERNS = [
     (re.compile(r"\.mq\.queue_regs$"), "counter"),
     (re.compile(r"\.mq\.passthrough_binds$"), "counter"),
     (re.compile(r"\.mq\.passthrough_demotions$"), "counter"),
-    (re.compile(r"\.mq\.pass\.(netp|blkq)\d+\."
+    # Passthrough lanes, named after the queue unit they carry:
+    # "<hv>.mq.{netp<i>,blkq<i>}.pass.<counter>".
+    (re.compile(r"\.mq\.(netp|blkq)\d+\.pass\."
                 r"(rounds|busy_rounds|items|wakes)$"), "counter"),
     # Per-queue scheduling units' served counters (and the console
     # unit): "<sched>.served.<hv>.mq.{netp<i>,blkq<i>,con}".
