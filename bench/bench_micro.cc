@@ -1,10 +1,11 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot paths:
- * vring serialization, virtqueue submit/pop/complete cycles, the
- * event queue, the DMA engine, the CRC32C / T10-DIF checksum
- * kernels, the pool allocator, one-shot event churn, and one full
- * guest-to-guest packet round trip. These measure *simulator*
+ * the vring accessors (descriptors, avail/used rings, chain walks),
+ * virtqueue submit/pop/complete cycles, the event queue, the DMA
+ * engine, the CRC32C / T10-DIF checksum kernels, the pool
+ * allocator, one-shot event churn, and one full guest-to-guest
+ * packet round trip. These measure *simulator*
  * performance (host wall time), not simulated time — they bound
  * how large an experiment the harness can run.
  */
@@ -39,6 +40,58 @@ BM_VringDescReadWrite(benchmark::State &state)
     }
 }
 BENCHMARK(BM_VringDescReadWrite);
+
+void
+BM_VringAvailUsedCycle(benchmark::State &state)
+{
+    // The avail- and used-ring accesses of one chain's round trip:
+    // the driver publishes (slot, idx), the device consumes (idx,
+    // slot) and completes (element, idx), the driver reaps (idx,
+    // element), and both sides read the event-index fields.
+    GuestMemory mem("m", 64 * KiB);
+    auto layout = virtio::VringLayout::contiguous(256, 0);
+    auto slot_of = [](std::uint16_t i) { return std::uint16_t(i % 256); };
+    std::uint16_t idx = 0;
+    for (auto _ : state) {
+        std::uint16_t slot = slot_of(idx);
+        layout.setAvailRing(mem, slot, slot);
+        layout.setAvailIdx(mem, std::uint16_t(idx + 1));
+        std::uint16_t head =
+            layout.availRing(mem, slot_of(layout.availIdx(mem) - 1));
+        layout.setUsedRing(mem, slot, {head, 64});
+        layout.setUsedIdx(mem, std::uint16_t(idx + 1));
+        auto done = layout.usedRing(mem, slot_of(layout.usedIdx(mem) - 1));
+        benchmark::DoNotOptimize(done);
+        benchmark::DoNotOptimize(layout.usedEvent(mem));
+        benchmark::DoNotOptimize(layout.availEvent(mem));
+        ++idx;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VringAvailUsedCycle);
+
+void
+BM_WalkDescChain(benchmark::State &state)
+{
+    // walkDescChain over a 3-segment request (header, data, status
+    // byte) laid out as a direct chain (arg 0) or an indirect
+    // table (arg 1), reusing one ChainWalk as the device does.
+    GuestMemory mem("m", 1 * MiB);
+    auto layout = virtio::VringLayout::contiguous(256, 0x1000);
+    virtio::VirtQueueDriver drv(mem, layout, state.range(0) != 0,
+                                0x40000);
+    auto head = drv.submit({{0x20000, 16, false}, {0x21000, 4096, false}},
+                           {{0x22000, 1, true}}, 1);
+    virtio::ChainWalk w;
+    for (auto _ : state) {
+        virtio::walkDescChain(mem, layout, *head, w);
+        benchmark::DoNotOptimize(w.chain.segs.data());
+    }
+    if (!w.ok)
+        state.SkipWithError("chain walk failed");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalkDescChain)->Arg(0)->Arg(1);
 
 void
 BM_VirtqueueCycle(benchmark::State &state)
@@ -343,7 +396,6 @@ BM_FullPacketRoundTrip(benchmark::State &state)
     if (got != seq)
         state.SkipWithError("packet loss in round trip");
 }
-BENCHMARK(BM_FullPacketRoundTrip)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SimulatedPpsThroughput(benchmark::State &state)
@@ -371,7 +423,6 @@ BM_SimulatedPpsThroughput(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 32);
 }
-BENCHMARK(BM_SimulatedPpsThroughput);
 
 } // namespace
 
@@ -387,6 +438,20 @@ main(int argc, char **argv)
     char quick_min[] = "--benchmark_min_time=0.02";
     if (bmhive::bench::Session::quick)
         args.push_back(quick_min);
+    // The two full-stack benches build testbeds whose metrics land
+    // in the --metrics-out snapshot. Sized from wall time, their
+    // iteration (and testbed) counts would vary with host load;
+    // --quick pins them so two snapshots of one build compare
+    // byte for byte.
+    auto *round_trip = benchmark::RegisterBenchmark(
+        "BM_FullPacketRoundTrip", BM_FullPacketRoundTrip);
+    round_trip->Unit(benchmark::kMicrosecond);
+    auto *pps = benchmark::RegisterBenchmark(
+        "BM_SimulatedPpsThroughput", BM_SimulatedPpsThroughput);
+    if (bmhive::bench::Session::quick) {
+        round_trip->Iterations(200);
+        pps->Iterations(100);
+    }
     args.push_back(nullptr);
     int ac = int(args.size()) - 1;
     benchmark::Initialize(&ac, args.data());

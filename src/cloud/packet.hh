@@ -35,6 +35,8 @@ udpFrameBytes(Bytes payload)
     return b < minFrameBytes ? minFrameBytes : b;
 }
 
+/** Field order and widths are the 48-byte guest wire format
+ *  (guest/packet_wire.hh copies the struct as one record). */
 struct Packet
 {
     MacAddr src = 0;
@@ -42,13 +44,13 @@ struct Packet
     Bytes len = 0;       ///< frame length on the wire
     Tick created = 0;    ///< when the sender formed the packet
     std::uint64_t seq = 0; ///< sender-assigned sequence number
+    /** Frame checksum sealed by the sending driver; every fabric
+     *  stage re-verifies it (integrity layer). 0 = unsealed. */
+    std::uint32_t csum = 0;
     /** Flow identity (the UDP port pair of the modelled frame).
      *  RSS hashes over (src, dst, flow) so one sender can spread
      *  distinct flows across a multi-queue NIC's rx queues. */
     std::uint32_t flow = 0;
-    /** Frame checksum sealed by the sending driver; every fabric
-     *  stage re-verifies it (integrity layer). 0 = unsealed. */
-    std::uint32_t csum = 0;
 };
 
 /** CRC32C over the frame's invariant fields — what the FCS of the

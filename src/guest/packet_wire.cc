@@ -5,36 +5,6 @@
 namespace bmhive {
 namespace guest {
 
-void
-packPacket(GuestMemory &m, Addr a, const cloud::Packet &p)
-{
-    m.write64(a + 0, p.src);
-    m.write64(a + 8, p.dst);
-    m.write64(a + 16, p.len);
-    m.write64(a + 24, p.created);
-    m.write64(a + 32, p.seq);
-    // Flow identity and checksum share the last word: both are
-    // 32-bit, and growing the 48-byte wire format would outgrow
-    // the rx buffers guests already post.
-    m.write64(a + 40,
-              std::uint64_t(p.csum) | (std::uint64_t(p.flow) << 32));
-}
-
-cloud::Packet
-unpackPacket(const GuestMemory &m, Addr a)
-{
-    cloud::Packet p;
-    p.src = m.read64(a + 0);
-    p.dst = m.read64(a + 8);
-    p.len = m.read64(a + 16);
-    p.created = m.read64(a + 24);
-    p.seq = m.read64(a + 32);
-    std::uint64_t w = m.read64(a + 40);
-    p.csum = std::uint32_t(w);
-    p.flow = std::uint32_t(w >> 32);
-    return p;
-}
-
 std::uint32_t
 writePacketToRxChain(GuestMemory &m, const virtio::DescChain &chain,
                      const cloud::Packet &p)

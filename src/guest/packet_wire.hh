@@ -10,6 +10,8 @@
 #ifndef BMHIVE_GUEST_PACKET_WIRE_HH
 #define BMHIVE_GUEST_PACKET_WIRE_HH
 
+#include <cstddef>
+
 #include "cloud/packet.hh"
 #include "mem/guest_memory.hh"
 #include "virtio/virtqueue.hh"
@@ -22,11 +24,28 @@ namespace guest {
  *  anywhere on the memory path lands in verifiable bytes. */
 constexpr Bytes packetWireBytes = 48;
 
+// The metadata moves as one record: cloud::Packet is laid out as
+// the wire format (five 64-bit words, then the checksum and flow
+// sharing the last word so the format fits the rx buffers guests
+// already post).
+static_assert(sizeof(cloud::Packet) == packetWireBytes &&
+              offsetof(cloud::Packet, seq) == 32 &&
+              offsetof(cloud::Packet, csum) == 40 &&
+              offsetof(cloud::Packet, flow) == 44);
+
 /** Write packet metadata at @p a. */
-void packPacket(GuestMemory &m, Addr a, const cloud::Packet &p);
+inline void
+packPacket(GuestMemory &m, Addr a, const cloud::Packet &p)
+{
+    m.store(a, p);
+}
 
 /** Read packet metadata from @p a. */
-cloud::Packet unpackPacket(const GuestMemory &m, Addr a);
+inline cloud::Packet
+unpackPacket(const GuestMemory &m, Addr a)
+{
+    return m.load<cloud::Packet>(a);
+}
 
 /**
  * Device-side helper: place a received packet into the writable

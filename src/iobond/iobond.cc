@@ -12,6 +12,41 @@ namespace iobond {
 
 using namespace virtio;
 
+namespace {
+
+/** Shadow descriptor for one mirrored segment: the same bytes at
+ *  mirror time and when the scrubber re-derives them. */
+VringDesc
+shadowDesc(Addr addr, Bytes len, bool write, bool last,
+           std::uint16_t next)
+{
+    return VringDesc{addr, std::uint32_t(len),
+                     std::uint16_t((write ? VRING_DESC_F_WRITE : 0) |
+                                   (last ? 0 : VRING_DESC_F_NEXT)),
+                     std::uint16_t(last ? 0 : next)};
+}
+
+/** Head descriptor pointing at an @p n-entry indirect table. */
+VringDesc
+indirectHead(Addr table, std::size_t n)
+{
+    return VringDesc{table,
+                     std::uint32_t(n) * std::uint32_t(vringDescSize),
+                     VRING_DESC_F_INDIRECT, 0};
+}
+
+/** Number of fields in which @p got differs from @p want. */
+unsigned
+fieldsDiffer(const VringDesc &got, const VringDesc &want)
+{
+    return unsigned(got.addr != want.addr) +
+           unsigned(got.len != want.len) +
+           unsigned(got.flags != want.flags) +
+           unsigned(got.next != want.next);
+}
+
+} // namespace
+
 IoBondFunction::IoBondFunction(Simulation &sim, std::string name,
                                IoBond &owner, unsigned index,
                                DeviceType type, unsigned num_queues,
@@ -389,67 +424,40 @@ IoBond::scrubQueue(unsigned fn, unsigned q)
     sq.inflight.forEach([&](std::uint16_t head, ChainShadow &cs) {
         scrubChecked_.inc();
         if (cs.indirectBlock != PoolAllocator::nullAddr) {
-            // Head descriptor pointing at the indirect table.
-            VringDesc want;
-            want.addr = cs.indirectBlock;
-            want.len = std::uint32_t(cs.segs.size()) *
-                       std::uint32_t(vringDescSize);
-            want.flags = VRING_DESC_F_INDIRECT;
-            want.next = 0;
-            VringDesc got =
-                sq.shadowLayout.readDesc(*baseMem_, head);
-            if (got.addr != want.addr || got.len != want.len ||
-                got.flags != want.flags || got.next != want.next) {
+            // Head descriptor pointing at the indirect table: one
+            // repair per bad descriptor.
+            VringDesc want = indirectHead(cs.indirectBlock,
+                                          cs.segs.size());
+            if (fieldsDiffer(sq.shadowLayout.readDesc(*baseMem_, head),
+                             want)) {
                 sq.shadowLayout.writeDesc(*baseMem_, head, want);
                 ++repairs;
             }
             // Indirect-table entries, re-derived from the layout
-            // recorded at mirror time.
+            // recorded at mirror time: one repair per bad field.
             for (std::size_t i = 0; i < cs.segs.size(); ++i) {
                 const auto &seg = cs.segs[i];
                 Addr a = cs.indirectBlock + Addr(i) * vringDescSize;
-                bool last = i + 1 >= cs.segs.size();
-                std::uint16_t flags = std::uint16_t(
-                    (seg.write ? VRING_DESC_F_WRITE : 0) |
-                    (last ? 0 : VRING_DESC_F_NEXT));
-                std::uint16_t next =
-                    std::uint16_t(last ? 0 : i + 1);
-                if (baseMem_->read64(a) != seg.shadowAddr) {
-                    baseMem_->write64(a, seg.shadowAddr);
-                    ++repairs;
-                }
-                if (baseMem_->read32(a + 8) !=
-                    std::uint32_t(seg.len)) {
-                    baseMem_->write32(a + 8,
-                                      std::uint32_t(seg.len));
-                    ++repairs;
-                }
-                if (baseMem_->read16(a + 12) != flags) {
-                    baseMem_->write16(a + 12, flags);
-                    ++repairs;
-                }
-                if (baseMem_->read16(a + 14) != next) {
-                    baseMem_->write16(a + 14, next);
-                    ++repairs;
+                want = shadowDesc(seg.shadowAddr, seg.len, seg.write,
+                                  i + 1 >= cs.segs.size(),
+                                  std::uint16_t(i + 1));
+                if (unsigned bad = fieldsDiffer(
+                        baseMem_->load<VringDesc>(a), want)) {
+                    baseMem_->store(a, want);
+                    repairs += bad;
                 }
             }
         } else {
+            // One repair per bad direct descriptor.
             for (std::size_t i = 0; i < cs.path.size(); ++i) {
                 const auto &seg = cs.segs[i];
-                VringDesc want;
-                want.addr = seg.shadowAddr;
-                want.len = std::uint32_t(seg.len);
-                want.flags = std::uint16_t(
-                    (seg.write ? VRING_DESC_F_WRITE : 0) |
-                    (i + 1 < cs.path.size() ? VRING_DESC_F_NEXT
-                                            : 0));
-                want.next = std::uint16_t(
-                    i + 1 < cs.path.size() ? cs.path[i + 1] : 0);
-                VringDesc got = sq.shadowLayout.readDesc(
-                    *baseMem_, cs.path[i]);
-                if (got.addr != want.addr || got.len != want.len ||
-                    got.flags != want.flags ||
-                    got.next != want.next) {
+                bool last = i + 1 >= cs.path.size();
+                VringDesc want = shadowDesc(
+                    seg.shadowAddr, seg.len, seg.write, last,
+                    last ? 0 : cs.path[i + 1]);
+                if (fieldsDiffer(sq.shadowLayout.readDesc(
+                                     *baseMem_, cs.path[i]),
+                                 want)) {
                     sq.shadowLayout.writeDesc(*baseMem_, cs.path[i],
                                               want);
                     ++repairs;
@@ -1211,40 +1219,25 @@ IoBond::mirrorChain(unsigned fn, unsigned q, std::uint16_t head,
     if (walk.indirect) {
         for (std::uint16_t i = 0; i < walk.indirectCount; ++i) {
             const auto &seg = cs.segs[i];
-            Addr a = cs.indirectBlock + Addr(i) * vringDescSize;
-            baseMem_->write64(a, seg.shadowAddr);
-            baseMem_->write32(a + 8, std::uint32_t(seg.len));
-            std::uint16_t flags = std::uint16_t(
-                (seg.write ? VRING_DESC_F_WRITE : 0) |
-                (i + 1 < walk.indirectCount ? VRING_DESC_F_NEXT
-                                            : 0));
-            baseMem_->write16(a + 12, flags);
-            baseMem_->write16(a + 14,
-                             std::uint16_t(i + 1 < walk.indirectCount
-                                               ? i + 1
-                                               : 0));
+            baseMem_->store(
+                cs.indirectBlock + Addr(i) * vringDescSize,
+                shadowDesc(seg.shadowAddr, seg.len, seg.write,
+                           i + 1 >= walk.indirectCount,
+                           std::uint16_t(i + 1)));
         }
-        VringDesc d;
-        d.addr = cs.indirectBlock;
-        d.len = std::uint32_t(walk.indirectCount) *
-                std::uint32_t(vringDescSize);
-        d.flags = VRING_DESC_F_INDIRECT;
-        d.next = 0;
-        sq.shadowLayout.writeDesc(*baseMem_, head, d);
+        sq.shadowLayout.writeDesc(
+            *baseMem_, head,
+            indirectHead(cs.indirectBlock, walk.indirectCount));
         desc_count = std::uint16_t(walk.indirectCount + 1);
         cs.path.clear();
     } else {
         for (std::size_t i = 0; i < walk.path.size(); ++i) {
             const auto &seg = cs.segs[i];
-            VringDesc d;
-            d.addr = seg.shadowAddr;
-            d.len = std::uint32_t(seg.len);
-            d.flags = std::uint16_t(
-                (seg.write ? VRING_DESC_F_WRITE : 0) |
-                (i + 1 < walk.path.size() ? VRING_DESC_F_NEXT : 0));
-            d.next = std::uint16_t(
-                i + 1 < walk.path.size() ? walk.path[i + 1] : 0);
-            sq.shadowLayout.writeDesc(*baseMem_, walk.path[i], d);
+            bool last = i + 1 >= walk.path.size();
+            sq.shadowLayout.writeDesc(
+                *baseMem_, walk.path[i],
+                shadowDesc(seg.shadowAddr, seg.len, seg.write, last,
+                           last ? 0 : walk.path[i + 1]));
         }
         desc_count = std::uint16_t(walk.path.size());
         cs.path.assign(walk.path.begin(), walk.path.end());

@@ -1,41 +1,12 @@
 #include "mem/guest_memory.hh"
 
-#include <utility>
-
 namespace bmhive {
 
 void
-GuestMemory::read(Addr addr, void *dst, Bytes len) const
+GuestMemory::outOfBounds(const char *op, Addr addr, Bytes len) const
 {
-    panic_if(addr + len > data_.size() || addr + len < addr,
-             name_, ": out-of-bounds read [", addr, ", ", addr + len,
-             ") of ", data_.size(), " bytes");
-    std::memcpy(dst, data_.data() + addr, len);
-}
-
-void
-GuestMemory::write(Addr addr, const void *src, Bytes len)
-{
-    panic_if(addr + len > data_.size() || addr + len < addr,
-             name_, ": out-of-bounds write [", addr, ", ", addr + len,
-             ") of ", data_.size(), " bytes");
-    std::memcpy(data_.data() + addr, src, len);
-}
-
-const std::uint8_t *
-GuestMemory::span(Addr addr, Bytes len) const
-{
-    panic_if(addr + len > data_.size() || addr + len < addr,
-             name_, ": out-of-bounds span [", addr, ", ", addr + len,
-             ") of ", data_.size(), " bytes");
-    return data_.data() + addr;
-}
-
-std::uint8_t *
-GuestMemory::span(Addr addr, Bytes len)
-{
-    return const_cast<std::uint8_t *>(
-        std::as_const(*this).span(addr, len));
+    panic(name_, ": out-of-bounds ", op, " [", addr, ", ", addr + len,
+          ") of ", data_.size(), " bytes");
 }
 
 void

@@ -15,15 +15,22 @@
 #ifndef BMHIVE_MEM_GUEST_MEMORY_HH
 #define BMHIVE_MEM_GUEST_MEMORY_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "base/logging.hh"
 #include "base/units.hh"
 
 namespace bmhive {
+
+// Multi-byte accessors and whole-record loads copy host
+// representation straight to and from the little-endian wire format.
+static_assert(std::endian::native == std::endian::little,
+              "guest-memory accessors assume a little-endian host");
 
 class GuestMemory
 {
@@ -41,9 +48,23 @@ class GuestMemory
     const std::string &name() const { return name_; }
     Bytes size() const { return data_.size(); }
 
-    /** Raw byte access. */
-    void read(Addr addr, void *dst, Bytes len) const;
-    void write(Addr addr, const void *src, Bytes len);
+    /**
+     * Raw byte access. Every accessor below is header-inline (the
+     * ring path makes millions of them per run) and keeps the same
+     * overflow-safe bounds test; a failing access reports through
+     * one cold, out-of-line panic.
+     */
+    void
+    read(Addr addr, void *dst, Bytes len) const
+    {
+        std::memcpy(dst, checked(addr, len, "read"), len);
+    }
+
+    void
+    write(Addr addr, const void *src, Bytes len)
+    {
+        std::memcpy(mutableAt(addr, len, "write"), src, len);
+    }
 
     /**
      * Bounds-checked direct view of [addr, addr + len), for copies
@@ -51,19 +72,52 @@ class GuestMemory
      * out-of-bounds range exactly like read()/write(). The pointer
      * stays valid for the memory's lifetime (its size is fixed).
      */
-    const std::uint8_t *span(Addr addr, Bytes len) const;
-    std::uint8_t *span(Addr addr, Bytes len);
+    const std::uint8_t *
+    span(Addr addr, Bytes len) const
+    {
+        return checked(addr, len, "span");
+    }
+
+    std::uint8_t *
+    span(Addr addr, Bytes len)
+    {
+        return mutableAt(addr, len, "span");
+    }
+
+    /**
+     * Whole-record load/store of a trivially copyable wire record
+     * (a vring descriptor, a virtio header): one bounds check and
+     * one fixed-size copy. The record's in-memory layout must be
+     * its wire layout; each record type static_asserts that.
+     */
+    template <typename T>
+    T
+    load(Addr addr) const
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        T v;
+        std::memcpy(&v, checked(addr, sizeof(T), "read"), sizeof(T));
+        return v;
+    }
+
+    template <typename T>
+    void
+    store(Addr addr, const T &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        std::memcpy(mutableAt(addr, sizeof(T), "write"), &v, sizeof(T));
+    }
 
     /** Typed little-endian accessors. */
-    std::uint8_t read8(Addr addr) const { return readT<std::uint8_t>(addr); }
-    std::uint16_t read16(Addr addr) const { return readT<std::uint16_t>(addr); }
-    std::uint32_t read32(Addr addr) const { return readT<std::uint32_t>(addr); }
-    std::uint64_t read64(Addr addr) const { return readT<std::uint64_t>(addr); }
+    std::uint8_t read8(Addr addr) const { return load<std::uint8_t>(addr); }
+    std::uint16_t read16(Addr addr) const { return load<std::uint16_t>(addr); }
+    std::uint32_t read32(Addr addr) const { return load<std::uint32_t>(addr); }
+    std::uint64_t read64(Addr addr) const { return load<std::uint64_t>(addr); }
 
-    void write8(Addr addr, std::uint8_t v) { writeT(addr, v); }
-    void write16(Addr addr, std::uint16_t v) { writeT(addr, v); }
-    void write32(Addr addr, std::uint32_t v) { writeT(addr, v); }
-    void write64(Addr addr, std::uint64_t v) { writeT(addr, v); }
+    void write8(Addr addr, std::uint8_t v) { store(addr, v); }
+    void write16(Addr addr, std::uint16_t v) { store(addr, v); }
+    void write32(Addr addr, std::uint32_t v) { store(addr, v); }
+    void write64(Addr addr, std::uint64_t v) { store(addr, v); }
 
     /** Fill a region with a byte value. */
     void fill(Addr addr, Bytes len, std::uint8_t value);
@@ -75,21 +129,24 @@ class GuestMemory
     void writeBlob(Addr addr, const std::vector<std::uint8_t> &blob);
 
   private:
-    template <typename T>
-    T
-    readT(Addr addr) const
+    /** Start of [addr, addr + len) after the bounds test. */
+    const std::uint8_t *
+    checked(Addr addr, Bytes len, const char *op) const
     {
-        T v;
-        read(addr, &v, sizeof(T));
-        return v;
+        if (addr + len > data_.size() || addr + len < addr)
+            [[unlikely]] outOfBounds(op, addr, len);
+        return data_.data() + addr;
     }
 
-    template <typename T>
-    void
-    writeT(Addr addr, T v)
+    std::uint8_t *
+    mutableAt(Addr addr, Bytes len, const char *op)
     {
-        write(addr, &v, sizeof(T));
+        return const_cast<std::uint8_t *>(checked(addr, len, op));
     }
+
+    /** The one panic every failed access reports through. */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    outOfBounds(const char *op, Addr addr, Bytes len) const;
 
     std::string name_;
     std::vector<std::uint8_t> data_;

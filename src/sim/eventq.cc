@@ -168,8 +168,10 @@ EventQueue::skim()
     // Every deschedule (including the one inside reschedule)
     // records its entry's sequence number, so membership alone
     // decides staleness; the Event* in a stale entry is never
-    // touched.
-    while (!heap_.empty() && staleSeqs_.erase(heap_.front().seq)) {
+    // touched. The empty() test first spares the common case (no
+    // stale entries at all) a hash-set lookup per call.
+    while (!heap_.empty() && !staleSeqs_.empty() &&
+           staleSeqs_.erase(heap_.front().seq)) {
         std::pop_heap(heap_.begin(), heap_.end(), heapCmp);
         heap_.pop_back();
     }

@@ -8,6 +8,7 @@
 #ifndef BMHIVE_VIRTIO_VIRTIO_BLK_HH
 #define BMHIVE_VIRTIO_VIRTIO_BLK_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "mem/guest_memory.hh"
@@ -53,24 +54,17 @@ struct VirtioBlkReqHdr
 
     static constexpr Bytes wireSize = 16;
 
-    void
-    writeTo(GuestMemory &m, Addr a) const
-    {
-        m.write32(a, type);
-        m.write32(a + 4, reserved);
-        m.write64(a + 8, sector);
-    }
-
+    /** Moved as one record: the struct is the wire layout. */
+    void writeTo(GuestMemory &m, Addr a) const { m.store(a, *this); }
     static VirtioBlkReqHdr
     readFrom(const GuestMemory &m, Addr a)
     {
-        VirtioBlkReqHdr h;
-        h.type = m.read32(a);
-        h.reserved = m.read32(a + 4);
-        h.sector = m.read64(a + 8);
-        return h;
+        return m.load<VirtioBlkReqHdr>(a);
     }
 };
+
+static_assert(sizeof(VirtioBlkReqHdr) == VirtioBlkReqHdr::wireSize &&
+              offsetof(VirtioBlkReqHdr, sector) == 8);
 
 /** Device-specific config: capacity in 512-byte sectors, then the
  *  submission-queue count offered with VIRTIO_BLK_F_MQ. */

@@ -11,6 +11,7 @@
 #define BMHIVE_VIRTIO_VIRTIO_NET_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "mem/guest_memory.hh"
@@ -65,9 +66,19 @@ struct VirtioNetHdr
 
     static constexpr Bytes wireSize = 12;
 
-    void writeTo(GuestMemory &m, Addr a) const;
-    static VirtioNetHdr readFrom(const GuestMemory &m, Addr a);
+    /** Moved as one record: the struct is the wire layout. */
+    void writeTo(GuestMemory &m, Addr a) const { m.store(a, *this); }
+    static VirtioNetHdr
+    readFrom(const GuestMemory &m, Addr a)
+    {
+        return m.load<VirtioNetHdr>(a);
+    }
 };
+
+static_assert(sizeof(VirtioNetHdr) == VirtioNetHdr::wireSize &&
+              offsetof(VirtioNetHdr, hdrLen) == 2 &&
+              offsetof(VirtioNetHdr, csumOffset) == 8 &&
+              offsetof(VirtioNetHdr, numBuffers) == 10);
 
 /**
  * Device-specific config layout: MAC, status, then the multi-queue

@@ -89,11 +89,7 @@ VirtQueueDriver::submit(SegmentList out, SegmentList in,
                 (s.deviceWrites ? VRING_DESC_F_WRITE : 0) |
                 (i + 1 < n ? VRING_DESC_F_NEXT : 0));
             d.next = std::uint16_t(i + 1 < n ? i + 1 : 0);
-            Addr a = table + Addr(i) * vringDescSize;
-            mem_.write64(a, d.addr);
-            mem_.write32(a + 8, d.len);
-            mem_.write16(a + 12, d.flags);
-            mem_.write16(a + 14, d.next);
+            mem_.store(table + Addr(i) * vringDescSize, d);
         }
         VringDesc d;
         d.addr = table;
@@ -319,12 +315,8 @@ walkDescChain(const GuestMemory &mem, const VringLayout &layout,
                 if (++ind_steps > n)
                     // cyclic indirect table
                     return fail(GuestFaultKind::DescLoop);
-                Addr a = d.addr + Addr(idx) * vringDescSize;
-                VringDesc ind;
-                ind.addr = mem.read64(a);
-                ind.len = mem.read32(a + 8);
-                ind.flags = mem.read16(a + 12);
-                ind.next = mem.read16(a + 14);
+                auto ind = mem.load<VringDesc>(
+                    d.addr + Addr(idx) * vringDescSize);
                 if (ind.flags & VRING_DESC_F_INDIRECT)
                     // nesting forbidden by the spec
                     return fail(GuestFaultKind::IndirectMalformed);

@@ -45,137 +45,10 @@ VringLayout::fitsIn(Bytes mem_size) const
            area_ok(used_, usedBytes());
 }
 
-VringDesc
-VringLayout::readDesc(const GuestMemory &m, std::uint16_t i) const
-{
-    panic_if(i >= size_, "descriptor index out of range: ", i);
-    Addr a = desc_ + Addr(i) * vringDescSize;
-    VringDesc d;
-    d.addr = m.read64(a);
-    d.len = m.read32(a + 8);
-    d.flags = m.read16(a + 12);
-    d.next = m.read16(a + 14);
-    return d;
-}
-
 void
-VringLayout::writeDesc(GuestMemory &m, std::uint16_t i,
-                       const VringDesc &d) const
+VringLayout::indexOutOfRange(const char *what, unsigned i)
 {
-    panic_if(i >= size_, "descriptor index out of range: ", i);
-    Addr a = desc_ + Addr(i) * vringDescSize;
-    m.write64(a, d.addr);
-    m.write32(a + 8, d.len);
-    m.write16(a + 12, d.flags);
-    m.write16(a + 14, d.next);
-}
-
-std::uint16_t
-VringLayout::availFlags(const GuestMemory &m) const
-{
-    return m.read16(avail_);
-}
-
-std::uint16_t
-VringLayout::availIdx(const GuestMemory &m) const
-{
-    return m.read16(avail_ + 2);
-}
-
-std::uint16_t
-VringLayout::availRing(const GuestMemory &m, std::uint16_t slot) const
-{
-    panic_if(slot >= size_, "avail slot out of range: ", slot);
-    return m.read16(avail_ + 4 + 2 * Addr(slot));
-}
-
-void
-VringLayout::setAvailFlags(GuestMemory &m, std::uint16_t v) const
-{
-    m.write16(avail_, v);
-}
-
-void
-VringLayout::setAvailIdx(GuestMemory &m, std::uint16_t v) const
-{
-    m.write16(avail_ + 2, v);
-}
-
-void
-VringLayout::setAvailRing(GuestMemory &m, std::uint16_t slot,
-                          std::uint16_t v) const
-{
-    panic_if(slot >= size_, "avail slot out of range: ", slot);
-    m.write16(avail_ + 4 + 2 * Addr(slot), v);
-}
-
-std::uint16_t
-VringLayout::usedEvent(const GuestMemory &m) const
-{
-    return m.read16(avail_ + 4 + 2 * Addr(size_));
-}
-
-void
-VringLayout::setUsedEvent(GuestMemory &m, std::uint16_t v) const
-{
-    m.write16(avail_ + 4 + 2 * Addr(size_), v);
-}
-
-std::uint16_t
-VringLayout::usedFlags(const GuestMemory &m) const
-{
-    return m.read16(used_);
-}
-
-std::uint16_t
-VringLayout::usedIdx(const GuestMemory &m) const
-{
-    return m.read16(used_ + 2);
-}
-
-VringUsedElem
-VringLayout::usedRing(const GuestMemory &m, std::uint16_t slot) const
-{
-    panic_if(slot >= size_, "used slot out of range: ", slot);
-    Addr a = used_ + 4 + 8 * Addr(slot);
-    VringUsedElem e;
-    e.id = m.read32(a);
-    e.len = m.read32(a + 4);
-    return e;
-}
-
-void
-VringLayout::setUsedFlags(GuestMemory &m, std::uint16_t v) const
-{
-    m.write16(used_, v);
-}
-
-void
-VringLayout::setUsedIdx(GuestMemory &m, std::uint16_t v) const
-{
-    m.write16(used_ + 2, v);
-}
-
-void
-VringLayout::setUsedRing(GuestMemory &m, std::uint16_t slot,
-                         const VringUsedElem &e) const
-{
-    panic_if(slot >= size_, "used slot out of range: ", slot);
-    Addr a = used_ + 4 + 8 * Addr(slot);
-    m.write32(a, e.id);
-    m.write32(a + 4, e.len);
-}
-
-std::uint16_t
-VringLayout::availEvent(const GuestMemory &m) const
-{
-    return m.read16(used_ + 4 + 8 * Addr(size_));
-}
-
-void
-VringLayout::setAvailEvent(GuestMemory &m, std::uint16_t v) const
-{
-    m.write16(used_ + 4 + 8 * Addr(size_), v);
+    panic(what, " out of range: ", i);
 }
 
 } // namespace virtio

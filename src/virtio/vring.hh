@@ -13,6 +13,7 @@
 #ifndef BMHIVE_VIRTIO_VRING_HH
 #define BMHIVE_VIRTIO_VRING_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "base/units.hh"
@@ -49,6 +50,14 @@ struct VringDesc
 
 static constexpr Bytes vringDescSize = 16;
 
+// Descriptors are loaded and stored as whole records, so the struct
+// must be byte-for-byte the wire layout (on a little-endian host,
+// which GuestMemory asserts).
+static_assert(sizeof(VringDesc) == vringDescSize &&
+              offsetof(VringDesc, len) == 8 &&
+              offsetof(VringDesc, flags) == 12 &&
+              offsetof(VringDesc, next) == 14);
+
 /**
  * Event-index notification test (virtio 1.0 section 2.4.7.2):
  * with VIRTIO_RING_F_EVENT_IDX, a notification is needed iff the
@@ -69,6 +78,9 @@ struct VringUsedElem
     std::uint32_t id;  ///< head index of the completed chain
     std::uint32_t len; ///< bytes written into device-writable parts
 };
+
+static_assert(sizeof(VringUsedElem) == 8 &&
+              offsetof(VringUsedElem, len) == 4);
 
 /**
  * Address map of one vring of @c size entries based at the three
@@ -107,36 +119,110 @@ class VringLayout
      */
     bool fitsIn(Bytes mem_size) const;
 
+    // Accessors. Inline: the ring path makes millions of these per
+    // run. GuestMemory bounds-checks every one, slots and indices
+    // are checked against the ring size, and records move whole.
+
     // --- Descriptor table ---
-    VringDesc readDesc(const GuestMemory &m, std::uint16_t i) const;
-    void writeDesc(GuestMemory &m, std::uint16_t i,
-                   const VringDesc &d) const;
+    VringDesc
+    readDesc(const GuestMemory &m, std::uint16_t i) const
+    {
+        return m.load<VringDesc>(descSlot(i));
+    }
+
+    void
+    writeDesc(GuestMemory &m, std::uint16_t i, const VringDesc &d) const
+    {
+        m.store(descSlot(i), d);
+    }
 
     // --- Available ring (driver -> device) ---
-    std::uint16_t availFlags(const GuestMemory &m) const;
-    std::uint16_t availIdx(const GuestMemory &m) const;
-    std::uint16_t availRing(const GuestMemory &m,
-                            std::uint16_t slot) const;
-    void setAvailFlags(GuestMemory &m, std::uint16_t v) const;
-    void setAvailIdx(GuestMemory &m, std::uint16_t v) const;
-    void setAvailRing(GuestMemory &m, std::uint16_t slot,
-                      std::uint16_t v) const;
+    std::uint16_t
+    availFlags(const GuestMemory &m) const
+    {
+        return m.read16(avail_);
+    }
+    std::uint16_t
+    availIdx(const GuestMemory &m) const
+    {
+        return m.read16(avail_ + 2);
+    }
+    std::uint16_t
+    availRing(const GuestMemory &m, std::uint16_t slot) const
+    {
+        return m.read16(availSlot(slot));
+    }
+    void
+    setAvailFlags(GuestMemory &m, std::uint16_t v) const
+    {
+        m.write16(avail_, v);
+    }
+    void
+    setAvailIdx(GuestMemory &m, std::uint16_t v) const
+    {
+        m.write16(avail_ + 2, v);
+    }
+    void
+    setAvailRing(GuestMemory &m, std::uint16_t slot,
+                 std::uint16_t v) const
+    {
+        m.write16(availSlot(slot), v);
+    }
     /** used_event field (F_EVENT_IDX), after the ring entries. */
-    std::uint16_t usedEvent(const GuestMemory &m) const;
-    void setUsedEvent(GuestMemory &m, std::uint16_t v) const;
+    std::uint16_t
+    usedEvent(const GuestMemory &m) const
+    {
+        return m.read16(avail_ + 4 + 2 * Addr(size_));
+    }
+    void
+    setUsedEvent(GuestMemory &m, std::uint16_t v) const
+    {
+        m.write16(avail_ + 4 + 2 * Addr(size_), v);
+    }
 
     // --- Used ring (device -> driver) ---
-    std::uint16_t usedFlags(const GuestMemory &m) const;
-    std::uint16_t usedIdx(const GuestMemory &m) const;
-    VringUsedElem usedRing(const GuestMemory &m,
-                           std::uint16_t slot) const;
-    void setUsedFlags(GuestMemory &m, std::uint16_t v) const;
-    void setUsedIdx(GuestMemory &m, std::uint16_t v) const;
-    void setUsedRing(GuestMemory &m, std::uint16_t slot,
-                     const VringUsedElem &e) const;
+    std::uint16_t
+    usedFlags(const GuestMemory &m) const
+    {
+        return m.read16(used_);
+    }
+    std::uint16_t
+    usedIdx(const GuestMemory &m) const
+    {
+        return m.read16(used_ + 2);
+    }
+    VringUsedElem
+    usedRing(const GuestMemory &m, std::uint16_t slot) const
+    {
+        return m.load<VringUsedElem>(usedSlot(slot));
+    }
+    void
+    setUsedFlags(GuestMemory &m, std::uint16_t v) const
+    {
+        m.write16(used_, v);
+    }
+    void
+    setUsedIdx(GuestMemory &m, std::uint16_t v) const
+    {
+        m.write16(used_ + 2, v);
+    }
+    void
+    setUsedRing(GuestMemory &m, std::uint16_t slot,
+                const VringUsedElem &e) const
+    {
+        m.store(usedSlot(slot), e);
+    }
     /** avail_event field, after the used entries. */
-    std::uint16_t availEvent(const GuestMemory &m) const;
-    void setAvailEvent(GuestMemory &m, std::uint16_t v) const;
+    std::uint16_t
+    availEvent(const GuestMemory &m) const
+    {
+        return m.read16(used_ + 4 + 8 * Addr(size_));
+    }
+    void
+    setAvailEvent(GuestMemory &m, std::uint16_t v) const
+    {
+        m.write16(used_ + 4 + 8 * Addr(size_), v);
+    }
 
     /** Byte sizes of the three areas (for shadow-ring DMA sync). */
     Bytes descBytes() const { return Bytes(size_) * vringDescSize; }
@@ -144,6 +230,33 @@ class VringLayout
     Bytes usedBytes() const { return 4 + 8 * Bytes(size_) + 2; }
 
   private:
+    /** Address of descriptor / avail slot / used slot @p i;
+     *  panics if @p i is not below the ring size. */
+    Addr
+    descSlot(std::uint16_t i) const
+    {
+        if (i >= size_)
+            [[unlikely]] indexOutOfRange("descriptor index", i);
+        return desc_ + Addr(i) * vringDescSize;
+    }
+    Addr
+    availSlot(std::uint16_t slot) const
+    {
+        if (slot >= size_)
+            [[unlikely]] indexOutOfRange("avail slot", slot);
+        return avail_ + 4 + 2 * Addr(slot);
+    }
+    Addr
+    usedSlot(std::uint16_t slot) const
+    {
+        if (slot >= size_)
+            [[unlikely]] indexOutOfRange("used slot", slot);
+        return used_ + 4 + 8 * Addr(slot);
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    indexOutOfRange(const char *what, unsigned i);
+
     std::uint16_t size_ = 0;
     Addr desc_ = 0;
     Addr avail_ = 0;

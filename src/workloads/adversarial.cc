@@ -76,11 +76,8 @@ AdversarialGuest::scribbleDesc(const RingInfo &ri, std::uint16_t i,
                                std::uint16_t next)
 {
     GuestMemory &m = board_.memory();
-    Addr a = ri.desc + Addr(i % ri.size) * vringDescSize;
-    m.write64(a, addr);
-    m.write32(a + 8, len);
-    m.write16(a + 12, flags);
-    m.write16(a + 14, next);
+    m.store(ri.desc + Addr(i % ri.size) * vringDescSize,
+            VringDesc{addr, len, flags, next});
 }
 
 void

@@ -269,6 +269,8 @@ TEST(PacketWireTest, PackUnpackRoundTrip)
     p.len = 1442;
     p.created = 0x123456789abcull;
     p.seq = 42;
+    p.flow = 0xf10f;
+    p.csum = 0xc5c5c5c5u;
     packPacket(m, 16, p);
     cloud::Packet q = unpackPacket(m, 16);
     EXPECT_EQ(q.src, p.src);
@@ -276,6 +278,15 @@ TEST(PacketWireTest, PackUnpackRoundTrip)
     EXPECT_EQ(q.len, p.len);
     EXPECT_EQ(q.created, p.created);
     EXPECT_EQ(q.seq, p.seq);
+    EXPECT_EQ(q.flow, p.flow);
+    EXPECT_EQ(q.csum, p.csum);
+    // Wire format: five little-endian words, then checksum and flow
+    // sharing the sixth (checksum in the low half).
+    EXPECT_EQ(m.read64(16 + 0), p.src);
+    EXPECT_EQ(m.read64(16 + 32), p.seq);
+    EXPECT_EQ(m.read64(16 + 40),
+              std::uint64_t(p.csum) | (std::uint64_t(p.flow) << 32));
+    EXPECT_EQ(m.read8(16 + guest::packetWireBytes), 0u);
 }
 
 TEST(PacketWireTest, RxChainTooSmallRejected)

@@ -468,6 +468,55 @@ TEST(ScrubberTest, RepairsInjectedMetadataRot)
     EXPECT_EQ(g.blk->resets(), 0u);
 }
 
+TEST(ScrubberTest, CountsOneRepairPerBadIndirectField)
+{
+    bench::Testbed bed(11);
+    auto g = bed.bmGuest(0xA, 16);
+    bed.sim.run(bed.sim.now() + msToTicks(1.0));
+    ASSERT_NE(g.blk, nullptr);
+
+    unsigned completed = 0;
+    unsigned issued = pumpReads(g, 8, &completed);
+    ASSERT_GT(issued, 0u);
+    bed.sim.run(bed.sim.now() + usToTicks(20));
+
+    // The newest published chain on a shadow ring is a 3-segment
+    // read: its head points at an indirect table.
+    iobond::IoBond &bond = bed.server.guest(0).bond();
+    GuestMemory &base = bond.baseMemory();
+    Addr table = 0;
+    for (unsigned fn = 0; fn < bond.numFunctions(); ++fn) {
+        for (unsigned q = 0; q < bond.function(fn).numQueues(); ++q) {
+            VringLayout l = bond.shadowLayout(fn, q);
+            if (!bond.shadowReady(fn, q) || l.availIdx(base) == 0)
+                continue;
+            auto slot = std::uint16_t((l.availIdx(base) - 1) % l.size());
+            VringDesc head = l.readDesc(base, l.availRing(base, slot));
+            if (head.flags & VRING_DESC_F_INDIRECT)
+                table = head.addr;
+        }
+    }
+    ASSERT_NE(table, 0u);
+
+    // Rot two fields of one table entry: two repairs, not one.
+    VringDesc good = base.load<VringDesc>(table);
+    VringDesc bad = good;
+    bad.len ^= 0xA5;
+    bad.next ^= 0x3;
+    base.store(table, bad);
+    std::uint64_t before = bond.scrubRepairs();
+    bed.sim.run(bed.sim.now() + usToTicks(60));
+
+    EXPECT_EQ(bond.scrubRepairs() - before, 2u);
+    VringDesc now = base.load<VringDesc>(table);
+    EXPECT_EQ(now.addr, good.addr);
+    EXPECT_EQ(now.len, good.len);
+    EXPECT_EQ(now.flags, good.flags);
+    EXPECT_EQ(now.next, good.next);
+    bed.sim.run(bed.sim.now() + msToTicks(2.0));
+    EXPECT_EQ(completed, issued);
+}
+
 TEST(ScrubberTest, PersistentRotEscalatesToQueueReset)
 {
     bench::Testbed bed(12);

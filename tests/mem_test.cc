@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -43,6 +44,21 @@ TEST(GuestMemoryTest, BlobRoundTrip)
     EXPECT_EQ(m.readBlob(10, 100), data);
 }
 
+/** The panic text @p access raises (without its source location),
+ *  or "" if it does not panic. */
+template <typename F>
+std::string
+panicText(F &&access)
+{
+    try {
+        access();
+    } catch (const PanicError &e) {
+        std::string what = e.what();
+        return what.substr(0, what.rfind(" ("));
+    }
+    return "";
+}
+
 TEST(GuestMemoryTest, OutOfBoundsPanics)
 {
     Logger::global().setThrowOnDeath(true);
@@ -50,6 +66,24 @@ TEST(GuestMemoryTest, OutOfBoundsPanics)
     EXPECT_THROW(m.read32(14), PanicError);
     EXPECT_THROW(m.write8(16, 0), PanicError);
     EXPECT_NO_THROW(m.write8(15, 0));
+    // Same text for every accessor family, wrapped ranges included.
+    std::uint8_t buf[8] = {};
+    EXPECT_EQ(panicText([&] { m.read32(14); }),
+              "m: out-of-bounds read [14, 18) of 16 bytes");
+    EXPECT_EQ(panicText([&] { m.write64(12, 0); }),
+              "m: out-of-bounds write [12, 20) of 16 bytes");
+    EXPECT_EQ(panicText([&] { m.read(~Addr(0) - 1, buf, 4); }),
+              "m: out-of-bounds read [18446744073709551614, 2) of 16 "
+              "bytes");
+    EXPECT_EQ(panicText([&] { m.write(17, buf, 0); }),
+              "m: out-of-bounds write [17, 17) of 16 bytes");
+    EXPECT_EQ(panicText([&] { m.span(10, 7); }),
+              "m: out-of-bounds span [10, 17) of 16 bytes");
+    EXPECT_EQ(panicText([&] { std::as_const(m).span(16, 1); }),
+              "m: out-of-bounds span [16, 17) of 16 bytes");
+    EXPECT_EQ(panicText([&] { m.fill(8, 9, 0); }),
+              "m: out-of-bounds fill");
+    EXPECT_EQ(panicText([&] { m.span(16, 0); }), "");
     Logger::global().setThrowOnDeath(false);
 }
 

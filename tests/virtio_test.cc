@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "base/logging.hh"
+#include "base/random.hh"
 #include "mem/guest_memory.hh"
 #include "sim/sim_object.hh"
 #include "virtio/virtio_blk.hh"
@@ -85,6 +89,231 @@ TEST(VringLayoutTest, NonPowerOfTwoSizePanics)
     Logger::global().setThrowOnDeath(true);
     EXPECT_THROW(VringLayout::contiguous(6, 0), PanicError);
     EXPECT_THROW(VringLayout::contiguous(0, 0), PanicError);
+    Logger::global().setThrowOnDeath(false);
+}
+
+// --- Differential check of the ring accessors ---
+//
+// A field-by-field reference: little-endian integers assembled byte
+// by byte at the offsets virtio 1.0 section 2.4 gives, independent
+// of the whole-record loads and stores the accessors use.
+
+std::uint64_t
+refGet(const GuestMemory &m, Addr a, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= std::uint64_t(m.read8(a + i)) << (8 * i);
+    return v;
+}
+
+void
+refSet(GuestMemory &m, Addr a, unsigned bytes, std::uint64_t v)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        m.write8(a + i, std::uint8_t(v >> (8 * i)));
+}
+
+/** Reference addresses of every ring field. */
+struct RefRing
+{
+    VringLayout l;
+
+    Addr desc(unsigned i) const { return l.descAddr() + 16 * i; }
+    Addr availSlot(unsigned i) const { return l.availAddr() + 4 + 2 * i; }
+    Addr usedEvent() const { return availSlot(l.size()); }
+    Addr usedSlot(unsigned i) const { return l.usedAddr() + 4 + 8 * i; }
+    Addr availEvent() const { return usedSlot(l.size()); }
+};
+
+void
+randomize(GuestMemory &m, Rng &rng)
+{
+    for (Addr a = 0; a < m.size(); ++a)
+        m.write8(a, std::uint8_t(rng.uniformInt(0, 255)));
+}
+
+/** Every accessor read agrees with the reference. */
+void
+expectReadsMatch(const GuestMemory &m, const RefRing &r)
+{
+    const VringLayout &l = r.l;
+    for (unsigned i = 0; i < l.size(); ++i) {
+        VringDesc d = l.readDesc(m, std::uint16_t(i));
+        EXPECT_EQ(d.addr, refGet(m, r.desc(i), 8));
+        EXPECT_EQ(d.len, refGet(m, r.desc(i) + 8, 4));
+        EXPECT_EQ(d.flags, refGet(m, r.desc(i) + 12, 2));
+        EXPECT_EQ(d.next, refGet(m, r.desc(i) + 14, 2));
+        EXPECT_EQ(l.availRing(m, std::uint16_t(i)),
+                  refGet(m, r.availSlot(i), 2));
+        VringUsedElem e = l.usedRing(m, std::uint16_t(i));
+        EXPECT_EQ(e.id, refGet(m, r.usedSlot(i), 4));
+        EXPECT_EQ(e.len, refGet(m, r.usedSlot(i) + 4, 4));
+    }
+    EXPECT_EQ(l.availFlags(m), refGet(m, l.availAddr(), 2));
+    EXPECT_EQ(l.availIdx(m), refGet(m, l.availAddr() + 2, 2));
+    EXPECT_EQ(l.usedEvent(m), refGet(m, r.usedEvent(), 2));
+    EXPECT_EQ(l.usedFlags(m), refGet(m, l.usedAddr(), 2));
+    EXPECT_EQ(l.usedIdx(m), refGet(m, l.usedAddr() + 2, 2));
+    EXPECT_EQ(l.availEvent(m), refGet(m, r.availEvent(), 2));
+}
+
+/**
+ * Layouts of 8 entries in a 1 KiB memory: contiguous from 0, then
+ * each area in turn placed so that its last byte is the memory's
+ * last byte (descriptor table, avail ring, used ring).
+ */
+constexpr Bytes diffMemSize = 1024;
+
+std::vector<VringLayout>
+differentialLayouts()
+{
+    const std::uint16_t n = 8;
+    VringLayout c = VringLayout::contiguous(n, 0);
+    Addr top = diffMemSize;
+    return {
+        c,
+        VringLayout(n, top - c.descBytes(), 0x10, 0x40),
+        VringLayout(n, 0x10, top - c.availBytes(), 0x100),
+        VringLayout(n, 0x10, 0x100, top - c.usedBytes()),
+    };
+}
+
+TEST(VringAccessorDiffTest, ReadsAgreeWithFieldByFieldReference)
+{
+    Rng rng(15);
+    GuestMemory m("m", diffMemSize);
+    for (const VringLayout &l : differentialLayouts()) {
+        ASSERT_TRUE(l.fitsIn(diffMemSize));
+        for (int round = 0; round < 8; ++round) {
+            randomize(m, rng);
+            expectReadsMatch(m, RefRing{l});
+        }
+    }
+    // A memory exactly as large as a contiguous ring: avail_event
+    // ends on its last byte.
+    GuestMemory exact("exact", VringLayout::bytesNeeded(8));
+    for (int round = 0; round < 8; ++round) {
+        randomize(exact, rng);
+        expectReadsMatch(exact,
+                         RefRing{VringLayout::contiguous(8, 0)});
+    }
+}
+
+TEST(VringAccessorDiffTest, WritesAgreeWithFieldByFieldReference)
+{
+    Rng rng(16);
+    const Bytes size = diffMemSize;
+    for (const VringLayout &l : differentialLayouts()) {
+        RefRing r{l};
+        GuestMemory got("got", size), want("want", size);
+        randomize(got, rng);
+        want.writeBlob(0, got.readBlob(0, size));
+        auto u16 = [&] {
+            return std::uint16_t(rng.uniformInt(0, 0xffff));
+        };
+        auto u32 = [&] {
+            return std::uint32_t(rng.uniformInt(0, 0xffffffffu));
+        };
+        for (int op = 0; op < 400; ++op) {
+            auto i = std::uint16_t(rng.uniformInt(0, l.size() - 1));
+            switch (rng.uniformInt(0, 7)) {
+              case 0: {
+                VringDesc d{rng.uniformInt(0, ~0ull), u32(), u16(),
+                            u16()};
+                l.writeDesc(got, i, d);
+                refSet(want, r.desc(i), 8, d.addr);
+                refSet(want, r.desc(i) + 8, 4, d.len);
+                refSet(want, r.desc(i) + 12, 2, d.flags);
+                refSet(want, r.desc(i) + 14, 2, d.next);
+                break;
+              }
+              case 1: {
+                VringUsedElem e{u32(), u32()};
+                l.setUsedRing(got, i, e);
+                refSet(want, r.usedSlot(i), 4, e.id);
+                refSet(want, r.usedSlot(i) + 4, 4, e.len);
+                break;
+              }
+              case 2: {
+                std::uint16_t v = u16();
+                l.setAvailRing(got, i, v);
+                refSet(want, r.availSlot(i), 2, v);
+                break;
+              }
+              case 3: {
+                std::uint16_t v = u16();
+                l.setAvailFlags(got, v);
+                l.setUsedFlags(got, std::uint16_t(~v));
+                refSet(want, l.availAddr(), 2, v);
+                refSet(want, l.usedAddr(), 2, std::uint16_t(~v));
+                break;
+              }
+              case 4: {
+                std::uint16_t v = u16();
+                l.setAvailIdx(got, v);
+                l.setUsedIdx(got, std::uint16_t(v + 1));
+                refSet(want, l.availAddr() + 2, 2, v);
+                refSet(want, l.usedAddr() + 2, 2,
+                       std::uint16_t(v + 1));
+                break;
+              }
+              case 5: {
+                std::uint16_t v = u16();
+                l.setUsedEvent(got, v);
+                refSet(want, r.usedEvent(), 2, v);
+                break;
+              }
+              default: {
+                std::uint16_t v = u16();
+                l.setAvailEvent(got, v);
+                refSet(want, r.availEvent(), 2, v);
+                break;
+              }
+            }
+        }
+        // Nothing outside the written fields moved.
+        EXPECT_EQ(got.readBlob(0, size), want.readBlob(0, size));
+        expectReadsMatch(got, r);
+    }
+}
+
+TEST(VringAccessorDiffTest, OutOfBoundsAccessesPanic)
+{
+    Logger::global().setThrowOnDeath(true);
+    const std::uint16_t n = 8;
+    const Bytes size = VringLayout::bytesNeeded(n);
+    GuestMemory m("m", size);
+    VringLayout c = VringLayout::contiguous(n, 0);
+    // Each area moved three bytes past the end of memory: its
+    // last ring entry (not just the trailing event field) is cut.
+    VringLayout desc_oob(n, size - c.descBytes() + 3, 0, 0x100);
+    VringLayout avail_oob(n, 0, size - c.availBytes() + 3, 0x100);
+    VringLayout used_oob(n, 0, 0x100, size - c.usedBytes() + 3);
+    VringDesc d{};
+    // Descriptor table.
+    EXPECT_THROW(desc_oob.readDesc(m, n - 1), PanicError);
+    EXPECT_THROW(desc_oob.writeDesc(m, n - 1, d), PanicError);
+    EXPECT_THROW(c.readDesc(m, n), PanicError);
+    // Available ring.
+    EXPECT_THROW(avail_oob.usedEvent(m), PanicError);
+    EXPECT_THROW(avail_oob.setAvailRing(m, n - 1, 0), PanicError);
+    EXPECT_THROW(c.availRing(m, n), PanicError);
+    // Used ring.
+    EXPECT_THROW(used_oob.availEvent(m), PanicError);
+    EXPECT_THROW(used_oob.setUsedRing(m, n - 1, {1, 2}), PanicError);
+    EXPECT_THROW(c.usedRing(m, n), PanicError);
+    // The last in-bounds record of each area still works.
+    EXPECT_NO_THROW(c.setAvailEvent(m, 1));
+    EXPECT_EQ(m.read16(size - 2), 1u);
+    try {
+        c.setUsedRing(m, n, {});
+        ADD_FAILURE() << "index past the ring did not panic";
+    } catch (const PanicError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind(
+                      "used slot out of range: 8 (", 0),
+                  0u);
+    }
     Logger::global().setThrowOnDeath(false);
 }
 
