@@ -214,7 +214,7 @@ BlockService::submit(Volume &vol, BlockIo io)
     auto *ev = new OneShotEvent([done = std::move(done)] {
             done(false);
         }, {name(), ".complete"});
-    eventq().schedule(ev, completion);
+    schedule(ev, completion);
 }
 
 void
@@ -247,9 +247,9 @@ BlockService::submitArrived(Volume &vol, BlockIo io)
     // and ship the verdict with the completion.
     bool wire = !io.write && io.wantCorruption && takeCorruption();
     auto done = std::move(io.done);
-    sim_.post(io.srcPartition, completion,
-              [done = std::move(done), wire] { done(wire); },
-              Event::defaultPri, {name(), ".complete"});
+    sim_.postToCell(io.cell, completion,
+                    [done = std::move(done), wire] { done(wire); },
+                    Event::defaultPri, {name(), ".complete"});
 }
 
 } // namespace cloud

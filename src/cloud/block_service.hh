@@ -47,8 +47,9 @@ struct BlockIo
     /** Read completions may claim FabricCorrupt budget (set by
      *  integrity-enabled submitters in partitioned mode). */
     bool wantCorruption = false;
-    /** Partition the completion is delivered in. */
-    unsigned srcPartition = 0;
+    /** Submitter's affinity cell: the partitioned-mode completion
+     *  goes wherever it points then, following a migration. */
+    const unsigned *cell = nullptr;
     /** Submit-side tick, for end-to-end service latency. Filled by
      *  submit(); submitArrived() expects the caller to set it. */
     Tick submittedAt = 0;
@@ -141,9 +142,9 @@ class BlockService : public SimObject
      * Partitioned-mode entry: @p io has already traversed the
      * request leg (the submitter posted it across partitions with
      * requestDelay() of modelled latency) and arrives at the
-     * cluster now. The completion is posted back to
-     * io.srcPartition; FabricCorrupt budget for reads is claimed
-     * here, deterministically in arrival order.
+     * cluster now. The completion is posted back to io.cell;
+     * FabricCorrupt budget for reads is claimed here,
+     * deterministically in arrival order.
      */
     void submitArrived(Volume &vol, BlockIo io);
 

@@ -61,7 +61,7 @@ VSwitch::stallPort(PortId id, Tick duration)
     faultInjected_.inc();
     auto *ev = new OneShotEvent([this, id] { flushPort(id); },
                                 {name(), ".unstall"});
-    eventq().schedule(ev, until);
+    schedule(ev, until);
 }
 
 void
@@ -208,7 +208,7 @@ VSwitch::forward(const Packet &pktIn)
         }
         auto *ev = new OneShotEvent(
             [this, copy] { uplink_(copy); }, {name(), ".uplink"});
-        eventq().schedule(ev, arrive);
+        schedule(ev, arrive);
         return;
     }
 
@@ -240,7 +240,7 @@ VSwitch::deliverTo(PortId pid, const Packet &pkt, Tick ready)
             }
         },
         {name(), ".deliver"});
-    eventq().schedule(ev, arrive);
+    schedule(ev, arrive);
 }
 
 NetFabric::NetFabric(Simulation &sim, std::string name,
@@ -278,7 +278,7 @@ NetFabric::route(const Packet &pkt)
     auto *ev = new OneShotEvent(
         [sw, copy] { sw->receiveFromUplink(copy); },
         {name(), ".route"});
-    sw->eventq().schedule(ev, curTick() + propagation_);
+    sw->schedule(ev, curTick() + propagation_);
 }
 
 } // namespace cloud

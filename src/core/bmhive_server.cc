@@ -134,9 +134,9 @@ BmHiveServer::BmHiveServer(Simulation &sim, std::string name,
 BmHiveServer::~BmHiveServer()
 {
     if (statsEvent_.scheduled())
-        eventq().deschedule(&statsEvent_);
+        deschedule(&statsEvent_);
     if (watchdogEvent_.scheduled())
-        eventq().deschedule(&watchdogEvent_);
+        deschedule(&watchdogEvent_);
 }
 
 void
@@ -144,7 +144,7 @@ BmHiveServer::startWatchdog(Tick period)
 {
     panic_if(period == 0, name(), ": watchdog needs a period");
     watchdogPeriod_ = period;
-    eventq().reschedule(&watchdogEvent_, curTick() + period);
+    reschedule(&watchdogEvent_, curTick() + period);
 }
 
 void
@@ -152,7 +152,7 @@ BmHiveServer::stopWatchdog()
 {
     watchdogPeriod_ = 0;
     if (watchdogEvent_.scheduled())
-        eventq().deschedule(&watchdogEvent_);
+        deschedule(&watchdogEvent_);
 }
 
 void
@@ -205,7 +205,7 @@ BmHiveServer::startStatsDump(Tick period)
 {
     panic_if(period == 0, name(), ": stats dump needs a period");
     statsPeriod_ = period;
-    eventq().reschedule(&statsEvent_, curTick() + period);
+    reschedule(&statsEvent_, curTick() + period);
 }
 
 void
@@ -213,7 +213,7 @@ BmHiveServer::stopStatsDump()
 {
     statsPeriod_ = 0;
     if (statsEvent_.scheduled())
-        eventq().deschedule(&statsEvent_);
+        deschedule(&statsEvent_);
 }
 
 void
@@ -504,17 +504,16 @@ BmHiveServer::adoptGuest(ExportedGuest eg,
     BmGuest &g = *guests_[idx];
     g.regionBase_ = allocRegion();
 
-    // Re-home the guest's event partition: the whole assembly
-    // shares one affinity cell, so this single write moves every
-    // SimObject that travelled with the export. The NIC port moves
-    // onto this server's switch with it; RSS is re-established by
-    // the migrateTo below once the rebase replay lands.
-    if (g.partitionCell_)
-        *g.partitionCell_ = partition();
-    // A scrub pass armed on the source is still scheduled in the
-    // old partition's queue; it must die there rather than touch
-    // bond state that now runs here.
+    // A scrub pass armed on the source must not run against the
+    // bond while it is rebased below.
     g.bond_->retireScrub();
+    // Re-home the guest's event partition: the whole assembly
+    // shares one affinity cell, so this moves every SimObject that
+    // travelled with the export, and the events they left pending
+    // in the source partition, at once. The NIC port moves onto
+    // this server's switch with it; RSS is re-established by the
+    // migrateTo below once the rebase replay lands.
+    sim_.rehomeCell(g.partitionCell_.get(), partition());
     g.hv_->rebindVSwitch(vswitch_);
 
     // The guest's containment and obs signals now belong to this

@@ -182,8 +182,8 @@ class BmGuest
     cloud::MacAddr mac_ = 0;
     /** Partition-affinity cell shared by every SimObject in this
      *  guest's assembly (board, bond, hypervisor, drivers, service
-     *  generations): one write re-homes the whole guest, which is
-     *  exactly what adoptGuest does on migration. */
+     *  generations): adoptGuest re-homes the whole guest, pending
+     *  events included, through Simulation::rehomeCell. */
     std::unique_ptr<unsigned> partitionCell_;
     /** Base-memory shadow region currently backing the bond; owned
      *  by whichever server hosts the guest (freed on release or

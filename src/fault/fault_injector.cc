@@ -188,7 +188,7 @@ FaultInjector::arm()
         auto *ev = new OneShotEvent(
             [this, idx = armed_] { deliver(plan_[idx]); },
             {name(), ".fire"});
-        eventq().schedule(ev, when);
+        schedule(ev, when);
     }
 }
 

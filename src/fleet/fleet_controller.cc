@@ -127,7 +127,7 @@ FleetController::~FleetController()
     for (auto &srv : servers_)
         faults().remove(srv->name());
     if (healthEvent_.scheduled())
-        eventq().deschedule(&healthEvent_);
+        deschedule(&healthEvent_);
 }
 
 GuestId
@@ -541,7 +541,7 @@ FleetController::startHealthSweep(Tick period)
 {
     panic_if(period == 0, name(), ": health sweep needs a period");
     healthPeriod_ = period;
-    eventq().reschedule(&healthEvent_, curTick() + period);
+    reschedule(&healthEvent_, curTick() + period);
 }
 
 void
@@ -549,7 +549,7 @@ FleetController::stopHealthSweep()
 {
     healthPeriod_ = 0;
     if (healthEvent_.scheduled())
-        eventq().deschedule(&healthEvent_);
+        deschedule(&healthEvent_);
 }
 
 void

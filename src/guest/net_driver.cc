@@ -134,14 +134,18 @@ NetDriver::sendPacket(const cloud::Packet &pkt, bool kick_now,
 {
     // XPS analog: a flow sticks to one pair, preserving per-flow
     // order while different flows spread over the pairs.
-    unsigned pair =
-        activePairs_ > 1 ? pkt.flow % activePairs_ : 0;
+    auto pair_of = [&]() -> unsigned {
+        return activePairs_ > 1 ? pkt.flow % activePairs_ : 0;
+    };
+    // Opportunistic reap, as virtio-net does in its xmit path:
+    // completed tx buffers are recycled without an interrupt. A
+    // reap that finds DEVICE_NEEDS_RESET rebuilds every queue, so
+    // the pair's ring is looked up only after it.
+    if (pairs_[pair_of()].txFreeSlots.empty())
+        txInterrupt(pair_of());
+    unsigned pair = pair_of();
     PairState &ps = pairs_[pair];
     auto &txq = queue(netTxQueue(pair));
-    // Opportunistic reap, as virtio-net does in its xmit path:
-    // completed tx buffers are recycled without an interrupt.
-    if (ps.txFreeSlots.empty())
-        txInterrupt(pair);
     if (ps.txFreeSlots.empty())
         return false;
     std::uint16_t slot = ps.txFreeSlots.back();
@@ -273,7 +277,7 @@ NetDriver::napiPoll(unsigned pair)
         os_.cpu(0).charge(nsToTicks(300));
         auto *ev = new OneShotEvent([this, pair] { napiPoll(pair); },
                                     "napi.repoll");
-        os_.eventq().schedule(ev, os_.curTick() + usToTicks(2));
+        os_.scheduleIn(ev, usToTicks(2));
         return;
     }
     // Ring dry: unmask interrupts and close the race window. The

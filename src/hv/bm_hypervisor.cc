@@ -57,20 +57,8 @@ BmHypervisor::BmHypervisor(Simulation &sim, std::string name,
     // The doorbell mailbox write is what wakes a sleeping poll
     // core. MQ doorbells carry (fn, q) so only the queue's own unit
     // spins up; handle_ tracks the current service generation.
-    bond_.setQueueWake([this](unsigned fn, unsigned q) {
-        if (sim_.currentPartition() != partition()) {
-            // A guest event still queued in the source partition
-            // when a migration re-homed the guest runs on the
-            // source worker: hand the wake to this process's
-            // partition instead of touching its scheduler there.
-            sim_.post(
-                partition(), sim_.now() + sim_.lookahead(),
-                [this, fn, q] { wakeQueue(fn, q); },
-                Event::defaultPri, {this->name(), ".wake"});
-            return;
-        }
-        wakeQueue(fn, q);
-    });
+    bond_.setQueueWake(
+        [this](unsigned fn, unsigned q) { wakeQueue(fn, q); });
     // Guest set-queue-pairs commits reshape the vSwitch RSS spread
     // (a no-op until the port is in RSS mode).
     bond_.setQueuePairsCallback([this](unsigned fn,

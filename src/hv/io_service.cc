@@ -412,25 +412,15 @@ VirtioIoService::pollNetTx(NetPair &np, unsigned max,
             cloud::Packet pkt = ext.pkt;
             cloud::VSwitch *sw = vswitch_;
             cloud::PortId port = port_;
-            if (sim().partitioned() &&
-                sw->partition() != partition()) {
-                // The backend posts to a switch homed in another
-                // partition (a guest mid-migration still bound to
-                // its old server's switch): cross the PCIe hop via
-                // the mailbox.
-                sim().post(sw->partition(),
-                           std::max(when, curTick()) +
-                               sim().lookahead(),
-                           [sw, port, pkt] { sw->send(port, pkt); },
-                           Event::defaultPri,
-                           {name(), ".paced_tx"});
-            } else if (when <= curTick()) {
+            if (when <= curTick()) {
                 sw->send(port, pkt);
             } else {
+                // The switch's event: a migration leaves it behind
+                // on the server the frame was sent from.
                 auto *ev = new OneShotEvent(
                     [sw, port, pkt] { sw->send(port, pkt); },
                     {name(), ".paced_tx"});
-                eventq().schedule(ev, when);
+                sw->schedule(ev, when);
             }
             txPkts_.inc();
         }
@@ -730,7 +720,7 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
         onBlkServiceDone(seq, gen, wire);
     };
     io.wantCorruption = blkIntegrity_ && !p.write;
-    io.srcPartition = partition();
+    io.cell = partitionCell();
     auto io_box = std::make_shared<cloud::BlockIo>(std::move(io));
 
     if (params_.blkTimeout > 0) {
@@ -742,7 +732,7 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
                 onBlkTimeout(seq, gen, attempt);
             },
             {name(), ".blk_timeout"});
-        eventq().schedule(tev, curTick() + wait);
+        schedule(tev, curTick() + wait);
     }
 
     // The submission path: CPU work (touch + payload copy)
@@ -787,7 +777,7 @@ VirtioIoService::submitBlkAttempt(std::uint64_t seq, Tick copy_cost)
                     svc->submit(*vol, std::move(*io_box));
                 },
                 {name(), ".blk_submit"});
-            eventq().schedule(ev, at);
+            schedule(ev, at);
         });
 }
 

@@ -81,7 +81,7 @@ class CpuExecutor : public SimObject
         busyTime_ += dur;
         auto *ev = new OneShotEvent(std::forward<F>(fn),
                                     {name(), ".work"});
-        eventq().schedule(ev, end);
+        schedule(ev, end);
         return end;
     }
 

@@ -184,7 +184,7 @@ IoBond::IoBond(Simulation &sim, std::string name,
     dma_.setIntegrity(integrity_);
 }
 
-IoBond::~IoBond() { sim_.faults().remove(name()); }
+IoBond::~IoBond() { sim_.faults().remove(name()); retireScrub(); }
 
 bool
 IoBond::injectFault(const fault::FaultSpec &spec)
@@ -211,7 +211,7 @@ IoBond::injectFault(const fault::FaultSpec &spec)
                     rescanReady();
             },
             {name(), ".linkup"});
-        eventq().schedule(ev, linkDownUntil_);
+        schedule(ev, linkDownUntil_);
         return true;
       }
       case fault::FaultKind::DropDoorbell: {
@@ -333,33 +333,21 @@ IoBond::corruptShadowMeta(ShadowQueue &sq, std::uint16_t head,
 void
 IoBond::scheduleScrub()
 {
-    if (!integrity_ || scrubScheduled_)
+    if (!integrity_ || scrubEvent_.scheduled())
         return;
-    scrubScheduled_ = true;
-    // The epoch capture kills passes armed before a migration: the
-    // one-shot stays behind in the source partition's queue after
-    // the guest re-homes, and must not touch bond state that now
-    // runs in another partition (retireScrub bumps the epoch).
-    auto *ev = new OneShotEvent(
-        [this, epoch = scrubEpoch_] {
-            if (epoch == scrubEpoch_)
-                scrubPass();
-        },
-        {name(), ".scrub"});
-    scheduleIn(ev, params_.scrubPeriod);
+    scheduleIn(&scrubEvent_, params_.scrubPeriod);
 }
 
 void
 IoBond::retireScrub()
 {
-    ++scrubEpoch_;
-    scrubScheduled_ = false;
+    if (scrubEvent_.scheduled())
+        deschedule(&scrubEvent_);
 }
 
 void
 IoBond::scrubPass()
 {
-    scrubScheduled_ = false;
     if (!integrity_)
         return;
     scrubRuns_.inc();
@@ -992,7 +980,7 @@ IoBond::guestNotified(IoBondFunction &fn, unsigned q)
                         syncAvail(fi, q);
                 },
                 {name(), ".storm_resync"});
-            eventq().schedule(ev, at);
+            schedule(ev, at);
         }
         return;
     }

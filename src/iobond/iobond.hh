@@ -271,10 +271,10 @@ class IoBond : public SimObject
     bool drained() const { return drained_; }
 
     /**
-     * Invalidate any armed scrub pass. Called when the guest
-     * re-homes to another event partition (migration adoption):
-     * the pending one-shot stays behind in the old partition's
-     * queue and must die there instead of racing the new home.
+     * Cancel the armed scrub pass, if any. Migration adoption calls
+     * this before the bond is rebased: a pass armed on the source
+     * must not run against a half-rebased bond. The next mirrored
+     * chain re-arms it.
      */
     void retireScrub();
 
@@ -695,10 +695,8 @@ class IoBond : public SimObject
      *  next mirrored chains when no chain is live at delivery). */
     std::uint64_t metaCorruptBudget_ = 0;
     bool integrity_ = true;
-    bool scrubScheduled_ = false;
-    /** Bumped by retireScrub(); armed passes from older epochs
-     *  fire as no-ops in whatever queue still holds them. */
-    std::uint64_t scrubEpoch_ = 0;
+    EventFunctionWrapper scrubEvent_{[this] { scrubPass(); },
+                                     name() + ".scrub"};
     std::function<void(unsigned)> integrityEscalationCb_;
     /** Function of the most recent guest/backend activity — the
      *  one a failed internal DMA transfer is attributed to. */

@@ -45,7 +45,7 @@ DmaEngine::~DmaEngine()
 {
     sim_.faults().remove(name());
     if (completeEvent_.scheduled())
-        eventq().deschedule(&completeEvent_);
+        deschedule(&completeEvent_);
 }
 
 bool

@@ -53,7 +53,7 @@ PollScheduler::~PollScheduler()
 {
     for (Core &c : cores_) {
         if (c.roundEvent->scheduled())
-            eventq().deschedule(c.roundEvent.get());
+            deschedule(c.roundEvent.get());
     }
 }
 
@@ -153,7 +153,7 @@ PollScheduler::remove(Handle h)
         if (c.kind == LaneKind::Shared)
             c.pollables->set(double(c.members.size()));
         else if (c.roundEvent->scheduled())
-            eventq().deschedule(c.roundEvent.get());
+            deschedule(c.roundEvent.get());
         return;
     }
 }
@@ -244,9 +244,9 @@ PollScheduler::kick(unsigned ci, Tick at)
     if (c.roundEvent->scheduled()) {
         if (c.roundEvent->when() <= at)
             return;
-        eventq().reschedule(c.roundEvent.get(), at);
+        reschedule(c.roundEvent.get(), at);
     } else {
-        eventq().schedule(c.roundEvent.get(), at);
+        schedule(c.roundEvent.get(), at);
     }
 }
 

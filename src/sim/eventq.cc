@@ -1,12 +1,14 @@
 #include "sim/eventq.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace bmhive {
 
 Event::~Event()
 {
-    panic_if(scheduled_,
+    panic_if(scheduled(),
              "event '", name(), "' destroyed while scheduled");
 }
 
@@ -106,116 +108,128 @@ EventQueue::~EventQueue()
     // destructors, which must not observe a half-walked heap.
     std::vector<Event *> owned;
     for (const Entry &e : heap_)
-        if (!staleSeqs_.count(e.seq) && e.ev->queueOwned_)
+        if (e.ev->queueOwned_)
             owned.push_back(e.ev);
     heap_.clear();
-    staleSeqs_.clear();
     for (Event *ev : owned) {
-        ev->scheduled_ = false;
-        ev->queue_ = nullptr;
+        ev->slot_ = Event::unscheduled;
         delete ev;
     }
 }
 
 void
-EventQueue::schedule(Event *ev, Tick when)
+EventQueue::siftUp(std::size_t i, Entry e)
+{
+    while (i > 0) {
+        std::size_t parent = (i - 1) / arity;
+        if (!e.before(heap_[parent]))
+            break;
+        place(i, heap_[parent]);
+        i = parent;
+    }
+    place(i, e);
+}
+
+void
+EventQueue::siftDown(std::size_t i, Entry e)
+{
+    const std::size_t n = heap_.size();
+    while (true) {
+        std::size_t first = i * arity + 1;
+        if (first >= n)
+            break;
+        std::size_t last = std::min(first + arity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < last; ++c)
+            if (heap_[c].before(heap_[best]))
+                best = c;
+        if (!heap_[best].before(e))
+            break;
+        place(i, heap_[best]);
+        i = best;
+    }
+    place(i, e);
+}
+
+void
+EventQueue::removeAt(std::size_t i)
+{
+    heap_[i].ev->slot_ = Event::unscheduled;
+    Entry last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size())
+        return;
+    if (i > 0 && last.before(heap_[(i - 1) / arity]))
+        siftUp(i, last);
+    else
+        siftDown(i, last);
+}
+
+void
+EventQueue::schedule(Event *ev, Tick when, const unsigned *cell)
 {
     panic_if(ev == nullptr, "scheduling a null event");
-    panic_if(ev->scheduled_,
+    panic_if(ev->scheduled(),
              "event '", ev->name(), "' is already scheduled");
     panic_if(when < curTick_,
              "scheduling event '", ev->name(), "' in the past: ",
              when, " < ", curTick_);
     ev->when_ = when;
-    ev->sequence_ = nextSeq_++;
-    ev->scheduled_ = true;
-    ev->queue_ = this;
-    heap_.push_back(Entry{when, ev->priority_, ev->sequence_, ev});
-    std::push_heap(heap_.begin(), heap_.end(), heapCmp);
-    ++liveCount_;
+    ev->cell_ = cell;
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1,
+           Entry{when, ev->priority_, nextSeq_++, ev});
 }
 
 void
 EventQueue::deschedule(Event *ev)
 {
     panic_if(ev == nullptr, "descheduling a null event");
-    panic_if(!ev->scheduled_,
+    panic_if(!ev->scheduled(),
              "event '", ev->name(), "' is not scheduled");
-    panic_if(ev->queue_ != this,
-             "event '", ev->name(),
-             "' descheduled through a foreign queue");
-    // Lazy deletion: the heap entry stays behind, keyed by its
-    // sequence number, and skim() drops it without dereferencing
-    // the event — which may be destroyed as soon as we return.
-    ev->scheduled_ = false;
-    ev->queue_ = nullptr;
-    staleSeqs_.insert(ev->sequence_);
-    --liveCount_;
-    maybeCompact();
+    // One queue per partition: catch the wrong one.
+    std::size_t i = ev->slot_;
+    panic_if(i >= heap_.size() || heap_[i].ev != ev,
+             "event '", ev->name(), "' belongs to another queue");
+    removeAt(i);
 }
 
 void
-EventQueue::reschedule(Event *ev, Tick when)
+EventQueue::reschedule(Event *ev, Tick when, const unsigned *cell)
 {
-    if (ev->scheduled_)
+    if (ev->scheduled())
         deschedule(ev);
-    schedule(ev, when);
+    schedule(ev, when, cell);
 }
 
 void
-EventQueue::skim()
+EventQueue::moveCell(const unsigned *cell, EventQueue &to)
 {
-    // Every deschedule (including the one inside reschedule)
-    // records its entry's sequence number, so membership alone
-    // decides staleness; the Event* in a stale entry is never
-    // touched. The empty() test first spares the common case (no
-    // stale entries at all) a hash-set lookup per call.
-    while (!heap_.empty() && !staleSeqs_.empty() &&
-           staleSeqs_.erase(heap_.front().seq)) {
-        std::pop_heap(heap_.begin(), heap_.end(), heapCmp);
-        heap_.pop_back();
-    }
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Stale entries buried below the top survive skim() until the
-    // heap shrinks down to them, so a reschedule-heavy timer (the
-    // adaptive poll governor re-arms constantly) would otherwise
-    // grow heap_ and staleSeqs_ without bound relative to live
-    // events. Rebuilding is O(n) and amortizes to O(1) per
-    // deschedule at the 50% threshold.
-    if (staleSeqs_.size() < compactMinStale ||
-        staleSeqs_.size() * 2 < heap_.size())
+    panic_if(cell == nullptr, "moving the events of a null cell");
+    if (&to == this)
         return;
-    std::erase_if(heap_, [this](const Entry &e) {
-        return staleSeqs_.erase(e.seq) != 0;
-    });
-    staleSeqs_.clear();
-    std::make_heap(heap_.begin(), heap_.end(), heapCmp);
-    ++compactions_;
-    if (onCompact_)
-        onCompact_();
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    self->skim();
-    return heap_.empty() ? maxTick : heap_.front().when;
+    auto stay = [cell](const Entry &e) { return e.ev->cell_ != cell; };
+    auto moving = std::partition(heap_.begin(), heap_.end(), stay);
+    std::vector<Entry> moved(moving, heap_.end());
+    heap_.erase(moving, heap_.end());
+    // Re-heapify what stays (Floyd); only the key order matters.
+    for (std::size_t i = heap_.size(); i-- > 0;)
+        siftDown(i, heap_[i]);
+    std::sort(moved.begin(), moved.end(),
+              [](const Entry &a, const Entry &b) { return a.before(b); });
+    for (const Entry &e : moved) {
+        e.ev->slot_ = Event::unscheduled;
+        to.schedule(e.ev, e.when, cell);
+    }
 }
 
 bool
 EventQueue::step()
 {
-    skim();
     if (heap_.empty())
         return false;
     Entry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), heapCmp);
-    heap_.pop_back();
+    removeAt(0);
     panic_if(e.when < curTick_, "time went backwards");
     if (e.when != curTick_) {
         curTick_ = e.when;
@@ -228,9 +242,6 @@ EventQueue::step()
              "event livelock: ", sameTickLimit,
              " events at tick ", curTick_, "; last: '",
              e.ev->name(), "'");
-    e.ev->scheduled_ = false;
-    e.ev->queue_ = nullptr;
-    --liveCount_;
     ++processed_;
     e.ev->process();
     return true;
@@ -240,7 +251,6 @@ void
 EventQueue::run(Tick limit)
 {
     while (true) {
-        skim();
         if (heap_.empty()) {
             // A drained queue still owes the caller the full
             // window: fixed-window pumps (and parked partitions)

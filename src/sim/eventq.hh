@@ -11,11 +11,11 @@
 #ifndef BMHIVE_SIM_EVENTQ_HH
 #define BMHIVE_SIM_EVENTQ_HH
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_set>
+#include <tuple>
 #include <vector>
 
 #include "base/inline_function.hh"
@@ -32,12 +32,15 @@ class EventQueue;
  *
  * Events do not own themselves; the creating object manages their
  * lifetime and must keep them alive while scheduled. Once
- * descheduled, an event may be destroyed immediately: the queue
- * identifies its stale heap entry by sequence number and never
- * touches the event pointer again (this is what lets a demoted
- * passthrough poller be torn down mid-simulation). OneShotEvent is
- * the exception: it owns itself, and its queue owns it while it is
- * scheduled.
+ * descheduled, an event is out of its queue and may be destroyed
+ * immediately (this is what lets a demoted passthrough poller be
+ * torn down mid-simulation). OneShotEvent is the exception: it owns
+ * itself, and its queue owns it while it is scheduled.
+ *
+ * A scheduled event knows its heap slot, and the affinity cell of
+ * the object that scheduled it (null for objects homed in a fixed
+ * partition): when a migration re-homes the cell, the event moves
+ * to the new partition's queue with it (see SimObject).
  */
 class Event
 {
@@ -63,9 +66,11 @@ class Event
     /** Human-readable label for tracing. */
     virtual std::string name() const { return "event"; }
 
-    bool scheduled() const { return scheduled_; }
+    bool scheduled() const { return slot_ != unscheduled; }
     Tick when() const { return when_; }
     Priority priority() const { return priority_; }
+    /** Affinity cell stamped when last scheduled (null if none). */
+    const unsigned *cell() const { return cell_; }
 
   protected:
     /** The event deletes itself after process(); a queue destroyed
@@ -75,16 +80,14 @@ class Event
   private:
     friend class EventQueue;
 
+    static constexpr std::size_t unscheduled = ~std::size_t(0);
+
     Tick when_ = 0;
     Priority priority_;
-    std::uint64_t sequence_ = 0;
-    bool scheduled_ = false;
     bool queueOwned_ = false;
-    /** Queue holding this event while scheduled. Partitioned
-     *  simulations have one queue per partition; descheduling
-     *  through the wrong one would corrupt that queue's stale-entry
-     *  bookkeeping, so the owning queue is checked explicitly. */
-    EventQueue *queue_ = nullptr;
+    /** Index of this event's heap entry while scheduled. */
+    std::size_t slot_ = unscheduled;
+    const unsigned *cell_ = nullptr;
 };
 
 /** Event that invokes a stored callable; the common case. */
@@ -184,18 +187,17 @@ class OneShotEvent : public Event
  * queue that everything shares; a partitioned simulation has one
  * per partition, each advancing its own curTick within the bounds
  * negotiated by the coordinator.
+ *
+ * An indexed 4-ary min-heap on (tick, priority, sequence): each
+ * scheduled event knows its slot, so a deschedule (and the one in
+ * a reschedule) removes its entry in place and the heap holds only
+ * scheduled events. Four children per node halve the levels (and
+ * slot writes) of a binary heap.
  */
 class EventQueue
 {
   public:
-    /**
-     * @param seqBase starting value for insertion sequence numbers.
-     * Partitioned simulations give each queue a disjoint sequence
-     * space so a cross-queue deschedule can never alias another
-     * queue's live entry.
-     */
-    explicit EventQueue(std::uint64_t seqBase = 0)
-        : nextSeq_(seqBase) {}
+    EventQueue() = default;
 
     /** Destroys every still-scheduled one-shot event. */
     ~EventQueue();
@@ -206,23 +208,28 @@ class EventQueue
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
 
-    /** Schedule @p ev at absolute time @p when (>= curTick). */
-    void schedule(Event *ev, Tick when);
+    /** Schedule @p ev at @p when (>= curTick), stamped with @p cell. */
+    void schedule(Event *ev, Tick when, const unsigned *cell = nullptr);
 
     /** Remove a scheduled event from the queue. */
     void deschedule(Event *ev);
 
     /** Deschedule (if scheduled) and re-schedule at @p when. */
-    void reschedule(Event *ev, Tick when);
+    void reschedule(Event *ev, Tick when, const unsigned *cell = nullptr);
+
+    /** Move every event stamped with @p cell to @p to, inserted in
+     *  (when, priority, sequence) order with @p to's next sequence
+     *  numbers: the result depends on nothing but the two queues. */
+    void moveCell(const unsigned *cell, EventQueue &to);
 
     /** True if no events remain. */
-    bool empty() const { return liveCount_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
-    /** Number of scheduled (non-squashed) events. */
-    std::size_t size() const { return liveCount_; }
+    /** Number of scheduled events. */
+    std::size_t size() const { return heap_.size(); }
 
-    /** Tick of the next live event; maxTick when empty. */
-    Tick nextTick() const;
+    /** Tick of the next event; maxTick when empty. */
+    Tick nextTick() const { return empty() ? maxTick : heap_[0].when; }
 
     /**
      * Run the next event.
@@ -242,28 +249,11 @@ class EventQueue
     /** Total events processed since construction. */
     std::uint64_t processedCount() const { return processed_; }
 
-    /**
-     * Heap entries currently held, live plus stale. Compaction
-     * keeps this within ~2x the live count (plus a small floor)
-     * under reschedule storms.
-     */
+    /** Heap entries held: always size(), as none go stale. */
     std::size_t heapSize() const { return heap_.size(); }
-
-    /** Times the heap was rebuilt to shed stale entries. */
-    std::uint64_t compactions() const { return compactions_; }
-
-    /** Invoked after every compaction (metric counter hookup). */
-    void
-    setCompactionHook(std::function<void()> hook)
-    {
-        onCompact_ = std::move(hook);
-    }
 
     /** Same-tick events after which step() declares a livelock. */
     static constexpr std::uint64_t sameTickLimit = 2'000'000;
-
-    /** Stale entries below this never trigger a compaction. */
-    static constexpr std::size_t compactMinStale = 64;
 
   private:
     struct Entry
@@ -274,40 +264,34 @@ class EventQueue
         Event *ev;
 
         bool
-        operator>(const Entry &o) const
+        before(const Entry &o) const
         {
-            if (when != o.when)
-                return when > o.when;
-            if (pri != o.pri)
-                return pri > o.pri;
-            return seq > o.seq;
+            return std::tie(when, pri, seq) <
+                   std::tie(o.when, o.pri, o.seq);
         }
     };
 
-    /** Min-heap on (when, pri, seq): std::*_heap with greater. */
-    static constexpr std::greater<Entry> heapCmp{};
+    static constexpr std::size_t arity = 4;
 
-    /** Drop stale entries from the top of the heap. */
-    void skim();
+    /** Store @p e at slot @p i and record the slot in its event. */
+    void
+    place(std::size_t i, const Entry &e)
+    {
+        heap_[i] = e;
+        e.ev->slot_ = i;
+    }
 
-    /** Rebuild the heap without stale entries once they dominate. */
-    void maybeCompact();
+    void siftUp(std::size_t i, Entry e);
+    void siftDown(std::size_t i, Entry e);
 
-    /** Binary min-heap over Entry (std::*_heap with greater-than).
-     *  A raw vector rather than std::priority_queue so compaction
-     *  can filter stale entries in place and re-heapify. */
+    /** Take the entry at slot @p i out of the heap. */
+    void removeAt(std::size_t i);
+
     std::vector<Entry> heap_;
-    /** Sequence numbers of descheduled-but-not-yet-popped entries.
-     *  Staleness is decided on these alone — the Event behind a
-     *  stale entry may already be gone. */
-    std::unordered_set<std::uint64_t> staleSeqs_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t processed_ = 0;
     std::uint64_t sameTickCount_ = 0;
-    std::uint64_t compactions_ = 0;
-    std::size_t liveCount_ = 0;
-    std::function<void()> onCompact_;
 };
 
 } // namespace bmhive

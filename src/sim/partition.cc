@@ -76,11 +76,7 @@ Coordinator::Coordinator(Simulation &sim, unsigned servers,
 
     queues_.push_back(&sim.eventq());
     for (unsigned p = 1; p <= servers; ++p) {
-        // Disjoint sequence spaces: a cross-queue deschedule can
-        // then never alias another queue's live entry (it panics on
-        // the owning-queue check instead).
-        ownedQueues_.push_back(
-            std::make_unique<EventQueue>(std::uint64_t(p) << 48));
+        ownedQueues_.push_back(std::make_unique<EventQueue>());
         queues_.push_back(ownedQueues_.back().get());
         rngs_.push_back(
             std::make_unique<Rng>(mixSeed(sim.seed(), p)));
@@ -90,7 +86,6 @@ Coordinator::Coordinator(Simulation &sim, unsigned servers,
     auto &reg = sim.metrics();
     roundsCtr_ = &reg.counter("sim.psim.rounds");
     messagesCtr_ = &reg.counter("sim.psim.messages");
-    compactionsCtr_ = &reg.counter("sim.eventq.compactions");
 
     // Workers sleep on cv_ between rounds; the coordinator thread
     // participates in every parallel phase, so N configured threads
@@ -122,7 +117,8 @@ Coordinator::~Coordinator()
 
 void
 Coordinator::post(unsigned dst, Tick when,
-                  std::unique_ptr<OneShotEvent> ev)
+                  std::unique_ptr<OneShotEvent> ev,
+                  const unsigned *cell)
 {
     panic_if(dst >= queues_.size(), "post to unknown partition ",
              dst);
@@ -131,7 +127,7 @@ Coordinator::post(unsigned dst, Tick when,
         // Setup code, phase A control, or a same-partition send:
         // single-threaded with respect to the destination queue, so
         // a direct schedule is safe and deterministic.
-        queue(dst).schedule(ev.get(), when);
+        queue(dst).schedule(ev.get(), when, cell);
         ev.release();
         return;
     }
@@ -141,8 +137,8 @@ Coordinator::post(unsigned dst, Tick when,
     panic_if(when < horizon, "cross-partition post '", ev->name(),
              "' at ", when, " violates lookahead horizon ", horizon);
     Outbox &ob = outboxes_[src];
-    ob.msgs.push_back(
-        Msg{when, ev->priority(), src, ob.nextSeq++, dst, ev.get()});
+    ob.msgs.push_back(Msg{when, ev->priority(), src, ob.nextSeq++,
+                          dst, cell, ev.get()});
     ev.release();
 }
 
@@ -171,7 +167,7 @@ Coordinator::run(Tick limit)
         // parallel; cross-partition effects buffer in outboxes.
         runParallel(w);
         flush();
-        ++rounds_;
+        roundsCtr_->inc();
     }
     if (limit != maxTick) {
         // Park every queue exactly at the limit so idle partitions
@@ -182,7 +178,6 @@ Coordinator::run(Tick limit)
             queues_[p]->run(limit);
         }
     }
-    syncCounters();
 }
 
 void
@@ -284,29 +279,11 @@ Coordinator::flush()
         panic_if(m.when <= windowEnd_, "mailbox message '",
                  m.ev->name(), "' lands at ", m.when,
                  " inside the closed window ending ", windowEnd_);
-        queue(m.dst).schedule(m.ev, m.when);
+        queue(m.dst).schedule(m.ev, m.when, m.cell);
         m.ev = nullptr;
-        ++messages_;
+        messagesCtr_->inc();
     }
     all.clear();
-}
-
-void
-Coordinator::syncCounters()
-{
-    // Deterministic, single-threaded metric updates: worker queues
-    // carry no compaction hooks (the control queue's hook fires in
-    // phase A, which is serial); their counts merge here, after the
-    // final barrier.
-    roundsCtr_->inc(rounds_ - roundsSynced_);
-    roundsSynced_ = rounds_;
-    messagesCtr_->inc(messages_ - messagesSynced_);
-    messagesSynced_ = messages_;
-    std::uint64_t comp = 0;
-    for (const auto &q : ownedQueues_)
-        comp += q->compactions();
-    compactionsCtr_->inc(comp - compactionsSynced_);
-    compactionsSynced_ = comp;
 }
 
 } // namespace psim
@@ -323,6 +300,26 @@ Simulation::enablePartitions(unsigned servers, psim::Params params)
     metrics_.shard(servers + 1, [this] { return currentPartition(); });
     psim_ = std::make_unique<psim::Coordinator>(*this, servers,
                                                 params);
+}
+
+void
+Simulation::rehomeCell(unsigned *cell, unsigned to)
+{
+    panic_if(psim_ && psim_->inParallel(),
+             "re-homing a partition cell during the parallel phase");
+    unsigned from = *cell;
+    *cell = to;
+    partitionQueue(from).moveCell(cell, partitionQueue(to));
+}
+
+void
+Simulation::checkAffinity(const std::string &who, unsigned home) const
+{
+    unsigned exec = psim::currentPartitionOf(this);
+    panic_if(psim_->inParallel() && exec != home, who,
+             ": event queue touched from partition ", exec,
+             " in the parallel phase; the object lives in partition ",
+             home);
 }
 
 } // namespace bmhive

@@ -78,6 +78,7 @@ struct Msg
     /** Per-source sequence number; (src, seq) is a total order. */
     std::uint64_t seq;
     unsigned dst;
+    const unsigned *cell; ///< stamped on the delivery (or null)
     /** The delivery, built by the sender; owned by the message
      *  until flush() schedules it. */
     OneShotEvent *ev;
@@ -116,27 +117,28 @@ class Coordinator
     Tick lookahead() const { return lookahead_; }
 
     /**
-     * Deliver @p ev in partition @p dst at tick @p when. Outside
-     * the parallel phase this schedules directly (single-threaded,
-     * deterministic). From inside the parallel phase the send is
-     * buffered in the executing partition's outbox and must respect
-     * the lookahead contract: when >= sender's curTick + L.
+     * Deliver @p ev in partition @p dst at tick @p when, stamped
+     * with affinity cell @p cell. Outside the parallel phase this
+     * schedules directly (single-threaded, deterministic). From
+     * inside the parallel phase the send is buffered in the
+     * executing partition's outbox and must respect the lookahead
+     * contract: when >= sender's curTick + L.
      */
     void post(unsigned dst, Tick when,
-              std::unique_ptr<OneShotEvent> ev);
+              std::unique_ptr<OneShotEvent> ev,
+              const unsigned *cell = nullptr);
+
+    /** True while server partitions run (phase B). */
+    bool inParallel() const { return inParallel_.load(); }
 
     /** Run the round loop until every queue is past @p limit. */
     void run(Tick limit);
-
-    std::uint64_t rounds() const { return rounds_; }
-    std::uint64_t messages() const { return messages_; }
 
   private:
     void runParallel(Tick window);
     void flush();
     void workLoop();
     void workerMain();
-    void syncCounters();
 
     struct Outbox
     {
@@ -173,14 +175,9 @@ class Coordinator
     bool stop_ = false;
     std::vector<std::thread> workers_;
 
-    std::uint64_t rounds_ = 0;
-    std::uint64_t messages_ = 0;
-    std::uint64_t roundsSynced_ = 0;
-    std::uint64_t messagesSynced_ = 0;
-    std::uint64_t compactionsSynced_ = 0;
+    /** Bumped by the coordinator thread between phases only. */
     Counter *roundsCtr_ = nullptr;
     Counter *messagesCtr_ = nullptr;
-    Counter *compactionsCtr_ = nullptr;
 
     /** Scratch buffer reused by flush(). */
     std::vector<Msg> flushScratch_;

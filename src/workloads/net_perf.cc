@@ -73,7 +73,7 @@ PacketFlood::start()
     // for the extra doneAt() slack.
     auto *stopper =
         new OneShotEvent([this] { stop_ = true; }, {name(), ".stop"});
-    eventq().schedule(stopper, t1_);
+    schedule(stopper, t1_);
 }
 
 PacketFloodResult

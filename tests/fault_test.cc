@@ -349,6 +349,35 @@ TEST(ChaosTest, RespawnAloneRecoversInflightIo)
     EXPECT_EQ(hv.respawns(), 1u);
 }
 
+// A full tx ring is reaped in the xmit path. When that reap finds
+// DEVICE_NEEDS_RESET it rebuilds every queue, and the frame must go
+// out on the new ring, not through the torn-down one (the ASan tree
+// reports a heap-use-after-free otherwise).
+TEST(ChaosTest, SendThatResetsTheNicUsesTheNewRing)
+{
+    bench::Testbed bed(13);
+    auto a = bed.bmGuest(0xA, 0);
+    auto b = bed.bmGuest(0xB, 0);
+    bed.sim.run(bed.sim.now() + msToTicks(1.0));
+    std::uint64_t delivered = 0;
+    b.net->setRxHandler([&](const cloud::Packet &) { ++delivered; });
+    cloud::Packet p;
+    p.src = 0xA;
+    p.dst = 0xB;
+    p.len = 64;
+    // Nothing is kicked, so nothing completes: the ring fills and
+    // the next send has to reap.
+    unsigned queued = 0;
+    while (a.net->sendPacket(p, false, a.cpu(0)))
+        ++queued;
+    ASSERT_GT(queued, 0u);
+    bed.server.guest(0).bond().failFunction(0); // the NIC
+    EXPECT_TRUE(a.net->sendPacket(p, true, a.cpu(0)));
+    EXPECT_EQ(a.net->resets(), 1u);
+    bed.sim.run(bed.sim.now() + msToTicks(1.0));
+    EXPECT_EQ(delivered, 1u);
+}
+
 TEST(ChaosTest, DeterministicGivenSeedAndPlan)
 {
     auto run_once = [](std::uint64_t &completed,

@@ -8,8 +8,11 @@
 
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/inline_function.hh"
@@ -79,11 +82,10 @@ TEST(EventQueueTest, DescheduleRemovesEvent)
     EXPECT_TRUE(q.empty());
 }
 
-// A descheduled event may be destroyed immediately, even though
-// its stale entry is still in the heap; the queue must drop that
-// entry without touching the dead event. This is how a demoted
-// passthrough poller tears down mid-simulation (ASan catches any
-// regression here as a use-after-free).
+// A descheduled event may be destroyed immediately: the queue must
+// never touch it again. This is how a demoted passthrough poller
+// tears down mid-simulation (ASan catches any regression here as a
+// use-after-free).
 TEST(EventQueueTest, DescheduledEventCanBeDestroyedBeforePop)
 {
     EventQueue q;
@@ -94,7 +96,7 @@ TEST(EventQueueTest, DescheduledEventCanBeDestroyedBeforePop)
         EventFunctionWrapper doomed([] { FAIL(); }, "doomed");
         q.schedule(&doomed, 10);
         q.deschedule(&doomed);
-    } // doomed destroyed; its heap entry is still pending
+    } // doomed destroyed right after leaving the queue
     q.run();
     EXPECT_TRUE(ran);
     EXPECT_TRUE(q.empty());
@@ -169,12 +171,10 @@ TEST(EventQueueTest, RunAdvancesToLimitWhenDrained)
     EXPECT_EQ(q.curTick(), 4000u);
 }
 
-// Regression for the lazy-deletion bloat fix: a reschedule-heavy
-// timer (the adaptive poll governor re-arms constantly) leaves one
-// stale heap entry per move. Entries buried below the top survive
-// skim(), so without compaction the heap and the stale-sequence set
-// grow linearly with reschedules while only one event is live.
-TEST(EventQueueTest, CompactionBoundsHeap)
+// A reschedule-heavy timer (the adaptive poll governor re-arms
+// constantly) moves its entry in place: the heap never holds
+// anything but the scheduled events.
+TEST(EventQueueTest, HeapHoldsOnlyLiveEvents)
 {
     EventQueue q;
     EventFunctionWrapper timer([] {}, "timer");
@@ -185,12 +185,7 @@ TEST(EventQueueTest, CompactionBoundsHeap)
     for (int i = 2; i <= moves; ++i)
         q.reschedule(&timer, Tick(i));
     EXPECT_EQ(q.size(), 2u);
-    // Pre-fix: heapSize() ~= moves. With compaction at >50% stale
-    // the heap never holds more than the live events plus one
-    // sub-threshold batch of stale entries.
-    EXPECT_LE(q.heapSize(),
-              q.size() + 2 * EventQueue::compactMinStale);
-    EXPECT_GT(q.compactions(), 0u);
+    EXPECT_EQ(q.heapSize(), 2u);
     // The surviving entries are the right ones.
     Tick fired = 0;
     q.deschedule(&sentinel);
@@ -202,18 +197,130 @@ TEST(EventQueueTest, CompactionBoundsHeap)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(SimulationTest, CompactionCounterExported)
+// Differential check of the indexed heap against a reference
+// std::set keyed on (when, priority, sequence): random mixes of
+// schedule, deschedule, reschedule and step over member events and
+// one-shots must fire in exactly the reference order.
+TEST(EventQueueTest, IndexedHeapMatchesReferenceOrder)
 {
-    // The queue's compaction hook feeds sim.eventq.compactions.
-    Simulation sim;
-    EventFunctionWrapper timer([] {}, "timer");
-    sim.eventq().schedule(&timer, 1);
-    for (int i = 2; i <= 2000; ++i)
-        sim.eventq().reschedule(&timer, Tick(i));
-    sim.eventq().deschedule(&timer);
-    EXPECT_EQ(sim.metrics().counter("sim.eventq.compactions").value(),
-              sim.eventq().compactions());
-    EXPECT_GT(sim.eventq().compactions(), 0u);
+    using Key = std::tuple<Tick, Event::Priority, std::uint64_t, int>;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        EventQueue q;
+        std::set<Key> ref;
+        std::map<int, Key> keyOf;
+        std::uint64_t seq = 0;
+        std::vector<int> fired;
+        std::vector<int> expected;
+
+        const Event::Priority pris[] = {-1, Event::defaultPri,
+                                        Event::pollPri};
+        // Ids 0..15 are member events; one-shots take ids from 100.
+        std::vector<std::unique_ptr<EventFunctionWrapper>> members;
+        for (int id = 0; id < 16; ++id)
+            members.push_back(std::make_unique<EventFunctionWrapper>(
+                [&fired, id] { fired.push_back(id); }, "m",
+                pris[id % 3]));
+        std::map<int, Event *> events;
+        for (int id = 0; id < 16; ++id)
+            events[id] = members[id].get();
+        int nextOneShot = 100;
+
+        auto put = [&](int id, Tick when) {
+            if (auto it = keyOf.find(id); it != keyOf.end())
+                ref.erase(it->second);
+            Key k{when, events[id]->priority(), seq++, id};
+            ref.insert(k);
+            keyOf[id] = k;
+        };
+        auto popRef = [&] {
+            int id = std::get<3>(*ref.begin());
+            ref.erase(ref.begin());
+            keyOf.erase(id);
+            expected.push_back(id);
+            if (id >= 100)
+                events.erase(id); // the one-shot deletes itself
+        };
+
+        for (int op = 0; op < 4000; ++op) {
+            Tick when = q.curTick() + Tick(rng.uniformInt(0, 50));
+            int pick = int(rng.uniformInt(0, 5));
+            if (pick == 0) {
+                int id = nextOneShot++;
+                auto *ev = new OneShotEvent(
+                    [&fired, id] { fired.push_back(id); }, "o",
+                    pris[id % 3]);
+                events[id] = ev;
+                q.schedule(ev, when);
+                put(id, when);
+                continue;
+            }
+            if (pick == 5) {
+                if (!ref.empty()) {
+                    popRef();
+                    ASSERT_TRUE(q.step());
+                }
+                continue;
+            }
+            // Any known event: member or pending one-shot.
+            auto it = events.begin();
+            std::advance(it, rng.uniformInt(0, events.size() - 1));
+            int id = it->first;
+            Event *ev = it->second;
+            if (pick <= 2) {
+                q.reschedule(ev, when);
+                put(id, when);
+            } else if (ev->scheduled()) {
+                q.deschedule(ev);
+                ref.erase(keyOf.at(id));
+                keyOf.erase(id);
+                if (id >= 100) {
+                    events.erase(id);
+                    delete ev;
+                }
+            } else {
+                q.schedule(ev, when);
+                put(id, when);
+            }
+            ASSERT_EQ(q.size(), ref.size());
+        }
+        while (!ref.empty())
+            popRef();
+        q.run();
+        EXPECT_EQ(fired, expected) << "seed " << seed;
+        EXPECT_TRUE(q.empty());
+    }
+}
+
+// Moving a cell's pending events keeps their relative order, gives
+// them the destination's later sequence numbers, and leaves every
+// other event where it was.
+TEST(EventQueueTest, MoveCellKeepsOrderAndRestamps)
+{
+    EventQueue from, to;
+    unsigned cell = 1, other = 2;
+    std::vector<std::string> order;
+    auto mk = [&](const char *n) {
+        return std::make_unique<EventFunctionWrapper>(
+            [&order, n] { order.push_back(n); }, n);
+    };
+    auto a = mk("a"), b = mk("b"), c = mk("c"), d = mk("d");
+    auto t = mk("t");
+    from.schedule(b.get(), 20, &cell);
+    from.schedule(a.get(), 10, &cell);
+    from.schedule(c.get(), 20, &other);
+    from.schedule(d.get(), 20, &cell);
+    to.schedule(t.get(), 20);
+    from.moveCell(&cell, to);
+    EXPECT_EQ(from.size(), 1u);
+    EXPECT_EQ(to.size(), 4u);
+    EXPECT_EQ(a->cell(), &cell);
+    from.run();
+    to.run();
+    // The resident "t" keeps its place ahead of the arrivals at
+    // its tick; "b" stays ahead of "d".
+    EXPECT_EQ(order, (std::vector<std::string>{"c", "a", "t", "b",
+                                               "d"}));
 }
 
 TEST(EventQueueTest, ScheduleAtCurTickFromProcess)
@@ -244,8 +351,8 @@ TEST(EventQueueTest, ScheduleAtCurTickFromProcess)
 TEST(EventQueueTest, DescheduleSameTickPendingMidRun)
 {
     // A handler cancels a sibling already pending at the same tick:
-    // the sibling's stale entry must be skimmed, never executed,
-    // and the queue keeps running events behind it.
+    // the sibling must never execute, and the queue keeps running
+    // events behind it.
     EventQueue q;
     bool victim_ran = false;
     bool later_ran = false;
@@ -265,11 +372,10 @@ TEST(EventQueueTest, DescheduleSameTickPendingMidRun)
     EXPECT_EQ(q.processedCount(), 2u);
 }
 
-TEST(EventQueueTest, NextTickSkimsStaleEntriesThroughConstRef)
+TEST(EventQueueTest, NextTickSeesPastDescheduledEventsThroughConstRef)
 {
     // The coordinator's window negotiation calls nextTick() on
-    // const queues; it must see through stale front entries (and
-    // physically shed them) rather than report a cancelled event.
+    // const queues; a cancelled front event must not show through.
     EventQueue q;
     EventFunctionWrapper a([] {}, "a"), b([] {}, "b");
     q.schedule(&a, 10);
